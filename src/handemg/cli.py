@@ -2,9 +2,11 @@
 
 Subcommands: synth | filter | augment-emg | augment-markers | fk | wrist |
 ik | occlude | graph-pe | featurize | split | eval | info. Every run prints
-its resolved configuration to stderr for reproducibility, and all randomness
-flows from --seed. Exit codes: 0 success, 1 usage error, 2 data error;
-failures print ``error: <kind>: <detail>`` on stderr.
+its resolved configuration to stderr for reproducibility. All randomness
+flows from --seed, taken only by synth, augment-emg, augment-markers,
+featurize and split; only the two augment-* subcommands take --config.
+Exit codes: 0 success, 1 usage error, 2 data error; failures print
+``error: <kind>: <detail>`` on stderr.
 """
 
 from __future__ import annotations
@@ -250,15 +252,12 @@ def _cmd_eval(args):
     _, gt = datastore.read_blocks(args.gt)
     if "angles" not in pred or "angles" not in gt:
         raise DataFormatError("bad-manifest", "both files need an angles block")
-    records = evalkit.records_from_predictions(pred["angles"], gt["angles"],
-                                               user_id=0, gesture_label="Rest")
     overall = evalkit.mae(pred["angles"], gt["angles"])
-    print(f"mae_deg,{overall:.9f}")
+    errors = np.abs(pred["angles"] - gt["angles"])
     rows = [("overall", overall)]
-    for name, value in evalkit.group_mae(records, evalkit.FINGER_GROUPS).items():
-        rows.append((name, value))
-    for name, value in evalkit.group_mae(records, evalkit.PHALANX_GROUPS).items():
-        rows.append((name, value))
+    for grouping in (evalkit.FINGER_GROUPS, evalkit.PHALANX_GROUPS):
+        rows += evalkit.group_mae(errors, grouping).items()
+    print(f"mae_deg,{overall:.9f}")
     for name, value in rows[1:]:
         print(f"group,{name},{value:.9f}")
     if args.csv:
@@ -286,82 +285,85 @@ def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="handemg")
     parser.add_argument("--version", action="version",
                         version=f"handemg {__version__} (format {FORMAT_VERSION})")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--config", default=None, help="YAML config file")
-    common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common])
+    p = sub.add_parser("synth")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=8.0, help="seconds")
     p.add_argument("--gesture", default="Rest")
     p.add_argument("--participant", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("filter", parents=[common])
+    p = sub.add_parser("filter")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--response", default=None, help="write mask CSV here")
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("augment-emg", parents=[common])
+    p = sub.add_parser("augment-emg")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="YAML config file")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment_emg)
 
-    p = sub.add_parser("augment-markers", parents=[common])
+    p = sub.add_parser("augment-markers")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="YAML config file")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--hand-scale", type=float, default=180.0, help="mm")
     p.set_defaults(func=_cmd_augment_markers)
 
-    p = sub.add_parser("fk", parents=[common])
+    p = sub.add_parser("fk")
     p.add_argument("--angles", required=True, help="CSV, one 22-angle row per frame")
     p.add_argument("--handedness", choices=("left", "right"), default="right")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fk)
 
-    p = sub.add_parser("wrist", parents=[common])
+    p = sub.add_parser("wrist")
     p.add_argument("--points", required=True,
                    help="CSV: rows a, b, c, wrist, middle-MCP as x,y,z")
     p.add_argument("--handedness", choices=("left", "right"), default="right")
     p.set_defaults(func=_cmd_wrist)
 
-    p = sub.add_parser("ik", parents=[common])
+    p = sub.add_parser("ik")
     p.add_argument("--landmarks", required=True)
     p.add_argument("--handedness", choices=("left", "right"), default="right")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ik)
 
-    p = sub.add_parser("occlude", parents=[common])
+    p = sub.add_parser("occlude")
     p.add_argument("--mesh", required=True, help="text mesh: v x y z / f i j k")
     p.add_argument("--camera", required=True, help="YAML camera file")
     p.add_argument("--depth", default=None, help="dump raw float32 depth here")
     p.set_defaults(func=_cmd_occlude)
 
-    p = sub.add_parser("graph-pe", parents=[common])
+    p = sub.add_parser("graph-pe")
     p.add_argument("--k", type=int, default=graph_features.DEFAULT_K)
     p.add_argument("--normalized", action="store_true")
     p.set_defaults(func=_cmd_graph_pe)
 
-    p = sub.add_parser("featurize", parents=[common])
+    p = sub.add_parser("featurize")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_featurize)
 
-    p = sub.add_parser("split", parents=[common])
+    p = sub.add_parser("split")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--participants", type=int, default=41)
     p.add_argument("--gestures", type=int, default=60)
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("eval", parents=[common])
+    p = sub.add_parser("eval")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("info", parents=[common])
+    p = sub.add_parser("info")
     p.add_argument("input")
     p.set_defaults(func=_cmd_info)
     return parser

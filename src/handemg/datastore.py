@@ -295,6 +295,7 @@ def synth_episode(seed: int, duration_s: float,
 
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+_BLOCK_FIELDS = ("name", "dtype", "shape", "offset", "crc32")
 
 
 def write_blocks(path, meta: dict, arrays: dict) -> None:
@@ -334,15 +335,26 @@ def read_blocks(path):
         manifest = json.loads(data[8:manifest_end].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError("bad-manifest", str(exc)) from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError("bad-manifest", "manifest is not a JSON object")
     if manifest.get("format") != "EGL1":
         raise DataFormatError("bad-manifest", "missing or wrong format field")
+    meta, blocks = manifest.get("meta"), manifest.get("blocks")
+    if not isinstance(meta, dict):
+        raise DataFormatError("bad-manifest", "missing or non-object meta field")
+    if not isinstance(blocks, list) or not all(isinstance(b, dict) for b in blocks):
+        raise DataFormatError("bad-manifest", "blocks must be a list of objects")
     arrays = {}
     payload = data[manifest_end:]
-    for block in manifest["blocks"]:
+    for block in blocks:
         if block.get("kind") != "array":
             warnings.warn(f"skipping unknown block kind {block.get('kind')!r} "
                           f"({block.get('name')})")
             continue
+        missing = [key for key in _BLOCK_FIELDS if key not in block]
+        if missing:
+            raise DataFormatError("bad-manifest", f"block {block.get('name')!r} "
+                                  f"lacks {', '.join(missing)}")
         dtype = _DTYPES.get(block["dtype"])
         if dtype is None:
             raise DataFormatError("bad-manifest", f"unknown dtype {block['dtype']}")
@@ -355,7 +367,7 @@ def read_blocks(path):
         if zlib.crc32(raw) != block["crc32"]:
             raise DataFormatError("checksum", f"block {block['name']} is corrupt")
         arrays[block["name"]] = np.frombuffer(raw, dtype=dtype).reshape(block["shape"])
-    return manifest["meta"], arrays
+    return meta, arrays
 
 
 def write_episode(episode: Episode, path) -> None:
@@ -388,19 +400,26 @@ def read_episode(path) -> Episode:
                  "pose_left", "pose_right"):
         if name not in arrays:
             raise DataFormatError("bad-manifest", f"missing block {name}")
+    try:
+        participant_id = int(meta["participant_id"])
+        gesture_label = meta["gesture_label"]
+        sample_rate = float(meta["sample_rate"])
+        if "calibration" in arrays:
+            width, height = (int(n) for n in meta["calibration_resolution"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError("bad-manifest", f"episode meta field {exc}") from exc
     calibration = None
     if "calibration" in arrays:
         flat = arrays["calibration"]
-        width, height = meta["calibration_resolution"]
         calibration = PinholeCamera(intrinsics=flat[:9].reshape(3, 3),
                                     rotation=flat[9:18].reshape(3, 3),
                                     translation=flat[18:21],
-                                    width=int(width), height=int(height))
+                                    width=width, height=height)
     return Episode(
-        participant_id=int(meta["participant_id"]),
-        gesture_label=meta["gesture_label"],
+        participant_id=participant_id,
+        gesture_label=gesture_label,
         emg=EmgWindow(samples=arrays["emg_samples"],
-                      sample_rate=float(meta["sample_rate"]),
+                      sample_rate=sample_rate,
                       kind=meta.get("emg_kind", "raw")),
         emg_timestamps_ms=arrays["emg_timestamps_ms"],
         pose_timestamps_ms=arrays["pose_timestamps_ms"],

@@ -11,12 +11,9 @@ mid-phalanx, thumb IP as distal) is a declared convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
-from .hand_model import N_DOF
 
 FINGER_GROUPS = {
     "thumb": (0, 1, 2, 3),
@@ -34,23 +31,14 @@ PHALANX_GROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Per-sample absolute joint-angle errors (degrees) with grouping keys."""
-
-    errors: np.ndarray        # (J,) absolute errors
-    user_id: int
-    gesture_label: str
-    split_tag: str = "train"
-    hand: str = "right"
-
-    def __post_init__(self):
-        errors = np.asarray(self.errors, dtype=float)
-        if errors.ndim != 1:
-            raise InvalidInputError("errors must be a 1-D vector")
-        if not np.all(np.isfinite(errors)) or errors.min() < 0:
-            raise InvalidInputError("errors must be finite and non-negative")
-        object.__setattr__(self, "errors", errors)
+def _check_errors(errors) -> np.ndarray:
+    """A non-empty (T, J) matrix of finite, non-negative absolute errors."""
+    errors = np.asarray(errors, dtype=float)
+    if errors.ndim != 2 or errors.size == 0:
+        raise InvalidInputError("errors must be a non-empty (T, J) matrix")
+    if not np.all(np.isfinite(errors)) or errors.min() < 0:
+        raise InvalidInputError("errors must be finite and non-negative")
+    return errors
 
 
 def mae(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -61,44 +49,35 @@ def mae(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.abs(pred - gt).mean())
 
 
-def records_from_predictions(pred, gt, user_id, gesture_label,
-                             split_tag="train", hand="right"):
-    """One EvalRecord per time sample from (T, J) prediction/target pairs."""
-    pred, gt = np.asarray(pred, dtype=float), np.asarray(gt, dtype=float)
-    if pred.shape != gt.shape or pred.ndim != 2:
-        raise InvalidInputError("pred and gt must be matching (T, J) arrays")
-    return [EvalRecord(errors=row, user_id=user_id, gesture_label=gesture_label,
-                       split_tag=split_tag, hand=hand)
-            for row in np.abs(pred - gt)]
+def group_mae(errors, grouping=None) -> dict:
+    """Mean error restricted to each named index set; empty groups absent.
 
-
-def group_mae(records, grouping=None) -> dict:
-    """Mean error restricted to each named index set; empty groups absent."""
-    if not records:
-        raise InvalidInputError("no records to aggregate")
+    `errors` is the (T, J) matrix of absolute errors, e.g. |pred - gt|.
+    """
+    errors = _check_errors(errors)
     if grouping is None:
         grouping = FINGER_GROUPS
-    stacked = np.stack([r.errors for r in records])
-    n_joints = stacked.shape[1]
+    n_joints = errors.shape[1]
     out = {}
     for name, idx in grouping.items():
         idx = [i for i in idx if i < n_joints]
         if idx:
-            out[name] = float(stacked[:, idx].mean())
+            out[name] = float(errors[:, idx].mean())
     return out
 
 
-def per_user_aggregate(records):
+def per_user_aggregate(errors, user_ids):
     """Per-user MAE first, then unweighted mean and population std across users.
 
+    `errors` is (T, J); `user_ids` gives the user of each of the T rows.
     Returns (mean, std, {user_id: mae}).
     """
-    if not records:
-        raise InvalidInputError("no records to aggregate")
-    by_user = {}
-    for r in records:
-        by_user.setdefault(r.user_id, []).append(r.errors)
-    user_mae = {u: float(np.stack(rows).mean()) for u, rows in sorted(by_user.items())}
+    errors = _check_errors(errors)
+    user_ids = np.asarray(user_ids)
+    if user_ids.shape != (len(errors),):
+        raise InvalidInputError("user_ids must give one user per error row")
+    user_mae = {u.item(): float(errors[user_ids == u].mean())
+                for u in np.unique(user_ids)}
     values = np.array(list(user_mae.values()))
     return float(values.mean()), float(values.std()), user_mae
 
@@ -112,10 +91,3 @@ def weighted_avg(split_results) -> float:
     if total <= 0:
         raise InvalidInputError("zero total samples across splits")
     return float(sum(m * n for m, n in split_results.values()) / total)
-
-
-def pooled_mae(records) -> float:
-    """All samples pooled into one MAE (differs from per-user on imbalance)."""
-    if not records:
-        raise InvalidInputError("no records to aggregate")
-    return float(np.stack([r.errors for r in records]).mean())

@@ -51,10 +51,9 @@ class IkConfig:
     # without a loss floor every solve burns the full outer budget. Set to 0
     # to disable and run to the gradient/stall criteria.
     loss_tolerance: float = 0.05
-    chunk_size: int = 256
 
     def __post_init__(self):
-        for name in ("outer_steps", "max_inner_iters", "history_size", "chunk_size"):
+        for name in ("outer_steps", "max_inner_iters", "history_size"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
@@ -404,16 +403,13 @@ def fit_batch(target_sequences, skeleton: HandSkeleton,
               config: IkConfig = IkConfig(),
               alignment: SimilarityTransform | None = None,
               handedness: str = "right"):
-    """Fit a landmark sequence frame by frame, warm-starting from the previous
-    frame. Chunking only groups work; it does not alter the warm-start chain,
-    so results are independent of chunk_size."""
+    """Fit a landmark sequence frame by frame, warm-starting each frame from
+    the previous frame's angles."""
     results = []
     warm = None
-    frames = list(target_sequences)
-    for start in range(0, len(frames), config.chunk_size):
-        for targets in frames[start:start + config.chunk_size]:
-            result = fit_joint_angles(targets, skeleton, config, warm_start=warm,
-                                      alignment=alignment, handedness=handedness)
-            results.append(result)
-            warm = result.angles
+    for targets in target_sequences:
+        result = fit_joint_angles(targets, skeleton, config, warm_start=warm,
+                                  alignment=alignment, handedness=handedness)
+        results.append(result)
+        warm = result.angles
     return results

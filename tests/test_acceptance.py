@@ -329,12 +329,12 @@ def test_criterion_10_protocol_plumbing(capsys, tmp_path):
                for j in range(22)) / (100 * 22)
     mae_err = abs(ek.mae(pred, gt) - loop)
 
-    base = ([ek.EvalRecord(errors=rng.uniform(0, 8, 22), user_id=1,
-                           gesture_label="Rest") for _ in range(10)]
-            + [ek.EvalRecord(errors=rng.uniform(0, 8, 22), user_id=2,
-                             gesture_label="Rest") for _ in range(10)])
-    dup = base + [r for r in base if r.user_id == 1] * 4
-    dup_err = abs(ek.per_user_aggregate(base)[0] - ek.per_user_aggregate(dup)[0])
+    base = rng.uniform(0, 8, (20, 22))
+    base_users = np.repeat([1, 2], 10)
+    dup = np.concatenate([base] + [base[base_users == 1]] * 4)
+    dup_users = np.concatenate([base_users] + [base_users[base_users == 1]] * 4)
+    dup_err = abs(ek.per_user_aggregate(base, base_users)[0]
+                  - ek.per_user_aggregate(dup, dup_users)[0])
 
     io_ok = True
     for i in range(100):

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from handemg import cli, datastore as ds
+from handemg.errors import DataFormatError
 from handemg.hand_model import (JointAngles22, default_skeleton,
                                 forward_kinematics)
 
@@ -180,3 +184,89 @@ def test_eval_command(capsys, tmp_path):
     body = csv.read_text().splitlines()
     assert body[0] == "group,mae_deg"
     assert len(body) == 1 + 1 + 7 + 3  # header, overall, fingers, phalanges
+
+
+# a minimal valid command line per subcommand (files need not exist: only
+# parsing is exercised)
+MINIMAL_ARGV = {
+    "synth": ["--out", "o.egl"],
+    "filter": ["i.egl", "--out", "o.egl"],
+    "augment-emg": ["i.egl", "--out", "o.egl"],
+    "augment-markers": ["i.egl", "--out", "o.egl"],
+    "fk": ["--angles", "a.csv", "--out", "o.egl"],
+    "wrist": ["--points", "p.csv"],
+    "ik": ["--landmarks", "l.egl", "--out", "o.egl"],
+    "occlude": ["--mesh", "m.txt", "--camera", "c.yaml"],
+    "graph-pe": [],
+    "featurize": ["i.egl", "--out", "o.egl"],
+    "split": [],
+    "eval": ["--pred", "p.egl", "--gt", "g.egl"],
+    "info": ["i.egl"],
+}
+SEEDED = {"synth", "augment-emg", "augment-markers", "featurize", "split"}
+CONFIGURED = {"augment-emg", "augment-markers"}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_option_surface(capsys, monkeypatch, tmp_path, command):
+    """Each subcommand takes exactly the shared options it reads."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + MINIMAL_ARGV[command]
+    cli.build_parser().parse_args(argv)
+    for option, value, takers in (("--seed", "1", SEEDED),
+                                  ("--config", "c.yaml", CONFIGURED),
+                                  ("--verbose", None, set())):
+        extra = [option] + ([value] if value else [])
+        if command in takers:
+            args = cli.build_parser().parse_args(argv + extra)
+            assert str(getattr(args, option[2:])) == value
+        else:
+            code, _, err = _run(capsys, *argv, *extra)
+            assert code == 1
+            assert err.startswith("error: usage:") and option in err
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+def _drop_block_crc(manifest):
+    del manifest["blocks"][0]["crc32"]
+    return manifest
+
+
+def _drop_participant(manifest):
+    del manifest["meta"]["participant_id"]
+    return manifest
+
+
+@pytest.mark.parametrize("edit, info_fails", [
+    (lambda manifest: [manifest], True),
+    (_drop("blocks"), True),
+    (_drop("meta"), True),
+    (_drop_block_crc, True),
+    (_drop_participant, False),   # a valid EGL1 file, not a valid episode
+], ids=["json-list", "no-blocks", "no-meta", "block-without-crc32",
+        "episode-without-participant_id"])
+def test_malformed_manifest_is_bad_manifest(capsys, tmp_path, edit, info_fails):
+    path = tmp_path / "ep.egl"
+    ds.write_episode(ds.synth_episode(seed=0, duration_s=4.0), path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    manifest = json.dumps(edit(json.loads(raw[8:8 + length]))).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(manifest)) + manifest
+                     + raw[8 + length:])
+    with pytest.raises(DataFormatError) as err:
+        ds.read_episode(path)
+    assert err.value.kind == "bad-manifest"
+    code, _, err = _run(capsys, "featurize", str(path), "--out",
+                        str(tmp_path / "f.egl"))
+    assert code == 2 and err.splitlines()[-1].startswith("error: bad-manifest:")
+    code, _, err = _run(capsys, "info", str(path))
+    if info_fails:
+        assert code == 2 and err.splitlines()[-1].startswith("error: bad-manifest:")
+    else:
+        assert code == 0

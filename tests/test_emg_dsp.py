@@ -77,6 +77,15 @@ def test_linearity():
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
+def test_large_amplitude_filters_cleanly():
+    """FFT roundoff grows with amplitude; the residue check scales with it."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3000, emg_dsp.N_CHANNELS))
+    big = emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=1e8 * x)).samples
+    unit = emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=x)).samples
+    assert np.abs(big - 1e8 * unit).max() < 1e-9 * 1e8
+
+
 def test_filter_marks_kind_and_is_deterministic():
     rng = np.random.default_rng(1)
     win = emg_dsp.EmgWindow(samples=rng.normal(size=(5000, 16)))

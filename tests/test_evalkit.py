@@ -5,9 +5,8 @@ from handemg import evalkit as ek
 from handemg.errors import InvalidInputError
 
 
-def _records(rng, n, user_id=0, n_joints=22):
-    return [ek.EvalRecord(errors=rng.uniform(0, 10, n_joints), user_id=user_id,
-                          gesture_label="Rest") for _ in range(n)]
+def _errors(rng, n, n_joints=22):
+    return rng.uniform(0, 10, (n, n_joints))
 
 
 def test_groupings_partition_the_layout():
@@ -29,20 +28,19 @@ def test_mae_matches_double_loop():
 
 
 def test_records_recombine_to_mae():
+    """The per-sample error rows of one user pool back to the MAE."""
     rng = np.random.default_rng(1)
     pred = rng.normal(size=(30, 22))
     gt = rng.normal(size=(30, 22))
-    records = ek.records_from_predictions(pred, gt, user_id=3,
-                                          gesture_label="Rest")
-    assert len(records) == 30
-    assert abs(ek.pooled_mae(records) - ek.mae(pred, gt)) < 1e-12
+    mean, _, by_user = ek.per_user_aggregate(np.abs(pred - gt), np.full(30, 3))
+    assert list(by_user) == [3]
+    assert abs(mean - ek.mae(pred, gt)) < 1e-12
 
 
 def test_group_mae_identity():
     rng = np.random.default_rng(2)
-    records = _records(rng, 40)
-    stacked = np.stack([r.errors for r in records])
-    groups = ek.group_mae(records)
+    stacked = _errors(rng, 40)
+    groups = ek.group_mae(stacked)
     for name, idx in ek.FINGER_GROUPS.items():
         assert abs(groups[name] - stacked[:, list(idx)].mean()) < 1e-12
     # weighted recombination over fingers recovers the pooled value
@@ -52,25 +50,24 @@ def test_group_mae_identity():
 
 
 def test_per_user_aggregate():
-    records = [ek.EvalRecord(errors=np.full(22, 10.0), user_id=1,
-                             gesture_label="Rest"),
-               ek.EvalRecord(errors=np.full(22, 20.0), user_id=2,
-                             gesture_label="Rest")]
-    mean, std, by_user = ek.per_user_aggregate(records)
+    errors = np.stack([np.full(22, 10.0), np.full(22, 20.0)])
+    mean, std, by_user = ek.per_user_aggregate(errors, [1, 2])
     assert mean == 15.0 and std == 5.0
     assert by_user == {1: 10.0, 2: 20.0}
 
 
 def test_per_user_duplication_invariance():
-    """Repeating one user's records must not move the per-user mean."""
+    """Repeating one user's rows must not move the per-user mean."""
     rng = np.random.default_rng(3)
-    base = _records(rng, 10, user_id=1) + _records(rng, 10, user_id=2)
-    dup = base + [r for r in base if r.user_id == 1] * 5
-    mean_a, _, _ = ek.per_user_aggregate(base)
-    mean_b, _, _ = ek.per_user_aggregate(dup)
+    base = np.concatenate([_errors(rng, 10), _errors(rng, 10)])
+    users = np.repeat([1, 2], 10)
+    dup = np.concatenate([base] + [base[users == 1]] * 5)
+    dup_users = np.concatenate([users] + [users[users == 1]] * 5)
+    mean_a, _, _ = ek.per_user_aggregate(base, users)
+    mean_b, _, _ = ek.per_user_aggregate(dup, dup_users)
     assert abs(mean_a - mean_b) < 1e-12
     # while the pooled mean does move (sanity of the distinction)
-    assert abs(ek.pooled_mae(base) - ek.pooled_mae(dup)) > 1e-6
+    assert abs(base.mean() - dup.mean()) > 1e-6
 
 
 def test_weighted_avg():
@@ -82,12 +79,14 @@ def test_weighted_avg():
 
 def test_record_validation():
     with pytest.raises(InvalidInputError):
-        ek.EvalRecord(errors=np.array([1.0, -2.0]), user_id=0,
-                      gesture_label="Rest")
+        ek.group_mae(np.array([[1.0, -2.0]]))
     with pytest.raises(InvalidInputError):
-        ek.EvalRecord(errors=np.array([np.nan]), user_id=0,
-                      gesture_label="Rest")
+        ek.per_user_aggregate(np.array([[np.nan]]), [0])
     with pytest.raises(InvalidInputError):
-        ek.group_mae([])
+        ek.group_mae(np.array([1.0, 2.0]))   # one sample needs a (1, J) matrix
+    with pytest.raises(InvalidInputError):
+        ek.group_mae(np.zeros((0, 22)))
+    with pytest.raises(InvalidInputError):
+        ek.per_user_aggregate(np.zeros((3, 22)), [0, 1])
     with pytest.raises(InvalidInputError):
         ek.mae(np.zeros((3, 22)), np.zeros((4, 22)))

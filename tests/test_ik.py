@@ -101,17 +101,24 @@ def test_alignment_transform(skeleton):
 
 
 def test_batch_warm_start_chain(skeleton):
-    """fit_batch warm-starts each frame; chunking must not change results."""
+    """fit_batch is exactly a loop warm-starting each frame from the last."""
     rng = np.random.default_rng(5)
     start = random_pose(rng, skeleton)
     end = random_pose(rng, skeleton)
     frames = [LandmarkSet(forward_kinematics(
         skeleton, JointAngles22(start + (end - start) * s)).points)
         for s in np.linspace(0, 1, 8)]
-    res_a = ik.fit_batch(frames, skeleton, ik.IkConfig(chunk_size=3))
-    res_b = ik.fit_batch(frames, skeleton, ik.IkConfig(chunk_size=256))
+    res_a = ik.fit_batch(frames, skeleton)
+    res_b, previous = [], None
+    for frame in frames:
+        previous = ik.fit_joint_angles(
+            frame, skeleton,
+            warm_start=None if previous is None else previous.angles)
+        res_b.append(previous)
+    assert len(res_a) == len(res_b)
     for a, b in zip(res_a, res_b):
         assert np.array_equal(a.angles.values, b.angles.values)
+        assert a.residual_mse == b.residual_mse
     assert all(np.sqrt(r.residual_mse) < 0.5 for r in res_a)
 
 
@@ -122,3 +129,5 @@ def test_config_validation():
         ik.IkConfig(learning_rate=-1.0)
     with pytest.raises(InvalidInputError):
         ik.IkConfig(loss_tolerance=-0.1)
+    with pytest.raises(TypeError):
+        ik.IkConfig(chunk_size=3)
