@@ -82,7 +82,7 @@ def _cmd_filter(args):
     datastore.write_episode(dataclasses.replace(episode, emg=filtered), args.out)
     print(f"wrote {args.out}")
     if args.response:
-        n_fft = 1 << max(12, (episode.emg.n_samples - 1).bit_length())
+        n_fft = emg_dsp.filter_fft_length(episode.emg.n_samples)
         mask = emg_dsp.build_filter_mask(n_fft, episode.emg.sample_rate)
         half = n_fft // 2 + 1
         with open(args.response, "w") as f:
@@ -316,9 +316,12 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--hand-scale", type=float, default=180.0, help="mm")
     p.set_defaults(func=_cmd_augment_markers)
 
+    handedness_help = ("labels the poses only: the skeleton is a right hand, and "
+                       "the output file is the same for left and right")
     p = sub.add_parser("fk")
     p.add_argument("--angles", required=True, help="CSV, one 22-angle row per frame")
-    p.add_argument("--handedness", choices=("left", "right"), default="right")
+    p.add_argument("--handedness", choices=("left", "right"), default="right",
+                   help=handedness_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fk)
 
@@ -330,7 +333,8 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("ik")
     p.add_argument("--landmarks", required=True)
-    p.add_argument("--handedness", choices=("left", "right"), default="right")
+    p.add_argument("--handedness", choices=("left", "right"), default="right",
+                   help=handedness_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ik)
 

@@ -14,6 +14,7 @@ byte-level layout lives in docs/FORMAT.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 import zlib
@@ -298,6 +299,11 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 _BLOCK_FIELDS = ("name", "dtype", "shape", "offset", "crc32")
 
 
+def _is_count(value) -> bool:
+    """A non-negative JSON integer; a bool does not count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def write_blocks(path, meta: dict, arrays: dict) -> None:
     """Write named arrays plus JSON metadata in the EGL1 layout."""
     blocks = []
@@ -355,18 +361,28 @@ def read_blocks(path):
         if missing:
             raise DataFormatError("bad-manifest", f"block {block.get('name')!r} "
                                   f"lacks {', '.join(missing)}")
+        name, shape = block["name"], block["shape"]
+        if not (isinstance(name, str) and isinstance(block["dtype"], str)):
+            raise DataFormatError("bad-manifest", f"block {name!r}: name and dtype "
+                                  f"must be strings")
+        if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
+            raise DataFormatError("bad-manifest", f"block {name}: shape must be a "
+                                  f"list of non-negative integers")
+        if not (_is_count(block["offset"]) and _is_count(block["crc32"])):
+            raise DataFormatError("bad-manifest", f"block {name}: offset and crc32 "
+                                  f"must be non-negative integers")
         dtype = _DTYPES.get(block["dtype"])
         if dtype is None:
             raise DataFormatError("bad-manifest", f"unknown dtype {block['dtype']}")
-        count = int(np.prod(block["shape"])) if block["shape"] else 1
-        start, end = block["offset"], block["offset"] + count * dtype.itemsize
+        start = block["offset"]
+        end = start + math.prod(shape) * dtype.itemsize
         if end > len(payload):
-            raise DataFormatError("truncated", f"block {block['name']} ends at "
+            raise DataFormatError("truncated", f"block {name} ends at "
                                   f"{end} but payload has {len(payload)} bytes")
         raw = payload[start:end]
         if zlib.crc32(raw) != block["crc32"]:
-            raise DataFormatError("checksum", f"block {block['name']} is corrupt")
-        arrays[block["name"]] = np.frombuffer(raw, dtype=dtype).reshape(block["shape"])
+            raise DataFormatError("checksum", f"block {name} is corrupt")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     return meta, arrays
 
 

@@ -133,8 +133,10 @@ def build_filter_mask(n_fft: int, sample_rate: float = DEFAULT_SAMPLE_RATE) -> F
     return FilterMask(gains=mask_gain(freqs), n_fft=n_fft, sample_rate=sample_rate)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
+def filter_fft_length(n_samples: int) -> int:
+    """FFT length `filter_emg` uses for a window of `n_samples` samples: the
+    next power of two, and at least 4096."""
+    return 1 << (max(n_samples, _FILTER_PAD_MIN) - 1).bit_length()
 
 
 def filter_emg(window: EmgWindow) -> EmgWindow:
@@ -149,7 +151,7 @@ def filter_emg(window: EmgWindow) -> EmgWindow:
     if not np.all(np.isfinite(window.samples)):
         raise InvalidInputError("EMG samples must be finite")
     n = window.n_samples
-    n_fft = _next_pow2(max(n, _FILTER_PAD_MIN))
+    n_fft = filter_fft_length(n)
     mask = build_filter_mask(n_fft, window.sample_rate)
     x = window.samples - window.samples.mean(axis=0, keepdims=True)
     spectrum = np.fft.fft(x, n=n_fft, axis=0) * mask.gains[:, None]

@@ -22,11 +22,23 @@ index  finger   joint   motion
 20     wrist    FE
 21     wrist    RU
 ====== ======== ======= ========
+
+The default skeleton (`default_skeleton`, read from the packaged asset
+``assets/default_hand.skel``, the only definition of the default hand) is a
+right hand with literature-typical bone lengths. Fingers extend along +y and
+the palm normal is +z; finger FE axes lie in the palm plane perpendicular to
+each finger, AA axes follow the palm normal. Landmark local offsets are all
+zero: landmarks sit at joint origins, with rigid tip bones supplying the
+fingertip points.
+
+Forward kinematics is one state function over an (N, 22) angle array
+(`landmark_positions`); the single-pose `forward_kinematics` and
+`landmark_jacobian` are its N = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
@@ -44,18 +56,26 @@ WRIST_RU = 21
 SKELETON_FORMAT = "handemg-skeleton/1"
 
 
-def rodrigues(axis, angle_deg: float) -> np.ndarray:
-    """Rotation matrix for a rotation of `angle_deg` degrees about a unit axis."""
+def rodrigues(axis, angle_deg) -> np.ndarray:
+    """Rotation matrices for rotations of `angle_deg` degrees about unit axes.
+
+    Axes (..., 3) and angles broadcast against each other; the result is
+    (..., 3, 3), a single (3, 3) matrix for one axis and one angle.
+    """
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
+    if axis.ndim == 0 or axis.shape[-1] != 3:
         raise InvalidInputError(f"axis must be a 3-vector, got shape {axis.shape}")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-6:
-        raise InvalidInputError(f"axis must be unit-norm, |axis| = {np.linalg.norm(axis)!r}")
+    norm = np.linalg.norm(axis, axis=-1)
+    if not np.all(np.abs(norm - 1.0) <= 1e-6):
+        raise InvalidInputError(f"axis must be unit-norm, |axis| = {norm!r}")
     theta = np.radians(angle_deg)
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1)
+    k = k.reshape(axis.shape[:-1] + (3, 3))
+    sin = np.sin(theta)[..., None, None]
+    versin = (1.0 - np.cos(theta))[..., None, None]
+    return np.eye(3) + sin * k + versin * (k @ k)
 
 
 @dataclass(frozen=True)
@@ -154,70 +174,74 @@ class HandSkeleton:
             raise ConfigurationError("fingertip_indices must list 5 landmarks")
 
     @cached_property
-    def dof_bone(self) -> np.ndarray:
-        """Bone index driving each DoF, shape (22,)."""
-        out = np.full(N_DOF, -1, dtype=int)
-        for i, bone in enumerate(self.bones):
-            if bone.dof is not None:
-                out[bone.dof] = i
-        return out
-
-    @cached_property
     def landmark_dof_mask(self) -> np.ndarray:
         """(20, 22) boolean: landmark i moves when DoF j changes."""
-        n = len(self.bones)
-        ancestors = []
-        for i, bone in enumerate(self.bones):
-            chain = set()
-            j = i
-            while j >= 0:
-                chain.add(j)
-                j = self.bones[j].parent
-            ancestors.append(chain)
         mask = np.zeros((N_LANDMARKS, N_DOF), dtype=bool)
-        for li, (bone_index, _offset) in enumerate(self.landmark_map):
-            for d in range(N_DOF):
-                mask[li, d] = self.dof_bone[d] in ancestors[bone_index]
+        for li, (j, _offset) in enumerate(self.landmark_map):
+            while j >= 0:       # the landmark's bone and its ancestors
+                if self.bones[j].dof is not None:
+                    mask[li, self.bones[j].dof] = True
+                j = self.bones[j].parent
         return mask
 
+    @cached_property
+    def _fk_tables(self):
+        """Bone axes (B, 3), each bone's angle column (-1 for rigid bones),
+        and each landmark's bone index and local offset (20, 3)."""
+        axes = np.array([b.axis for b in self.bones])
+        columns = np.array([-1 if b.dof is None else b.dof for b in self.bones])
+        landmark_bones = np.array([bi for bi, _ in self.landmark_map])
+        landmark_offsets = np.array([off for _, off in self.landmark_map], dtype=float)
+        return axes, columns, landmark_bones, landmark_offsets
 
-def _fk_state(skeleton: HandSkeleton, angles: JointAngles22):
-    """Per-bone world origins, rotations, and per-DoF world axes/origins."""
-    n = len(skeleton.bones)
-    origins = np.zeros((n, 3))
-    rotations = np.zeros((n, 3, 3))
-    dof_axes = np.zeros((N_DOF, 3))
-    dof_origins = np.zeros((N_DOF, 3))
-    values = angles.values
+
+def _fk_state(skeleton: HandSkeleton, values: np.ndarray):
+    """Bone world origins and rotations, and per-DoF world axes and origins.
+
+    `values` is an (N, 22) angle array. Origins (N, B + 1, 3) and rotations
+    (N, B + 1, 3, 3) end in an identity "world" slot, which the root reads
+    as its parent (index -1). Rigid bones read a fixed 0 degrees, whose
+    rotation is exactly the identity.
+    """
+    axes, columns, _, _ = skeleton._fk_tables
+    n, n_bones = len(values), len(skeleton.bones)
+    padded = np.concatenate([values, np.zeros((n, 1))], axis=1)   # column -1: 0 deg
+    local = rodrigues(axes, padded[:, columns])                 # (N, B, 3, 3)
+    origins = np.zeros((n, n_bones + 1, 3))
+    rotations = np.zeros((n, n_bones + 1, 3, 3))
+    rotations[:, -1] = np.eye(3)
+    dof_axes = np.zeros((n, N_DOF, 3))
+    dof_origins = np.zeros((n, N_DOF, 3))
     for i, bone in enumerate(skeleton.bones):
-        if bone.parent < 0:
-            parent_o = np.zeros(3)
-            parent_r = np.eye(3)
-        else:
-            parent_o = origins[bone.parent]
-            parent_r = rotations[bone.parent]
-        origins[i] = parent_o + parent_r @ bone.offset
-        if bone.dof is None:
-            local = np.eye(3)
-        else:
-            local = rodrigues(bone.axis, values[bone.dof])
-            dof_axes[bone.dof] = parent_r @ bone.axis
-            dof_origins[bone.dof] = origins[i]
-        rotations[i] = parent_r @ local
+        parent_r = rotations[:, bone.parent]
+        origins[:, i] = origins[:, bone.parent] + parent_r @ bone.offset
+        rotations[:, i] = parent_r @ local[:, i]
+        if bone.dof is not None:
+            dof_axes[:, bone.dof] = parent_r @ bone.axis
+            dof_origins[:, bone.dof] = origins[:, i]
     return origins, rotations, dof_axes, dof_origins
 
 
 def _landmark_points(skeleton: HandSkeleton, origins, rotations) -> np.ndarray:
-    points = np.zeros((N_LANDMARKS, 3))
-    for li, (bone_index, local_offset) in enumerate(skeleton.landmark_map):
-        points[li] = origins[bone_index] + rotations[bone_index] @ np.asarray(local_offset, dtype=float)
-    return points
+    _, _, bones, offsets = skeleton._fk_tables
+    return origins[:, bones] + (rotations[:, bones] @ offsets[:, :, None])[..., 0]
+
+
+def landmark_positions(skeleton: HandSkeleton, angles) -> np.ndarray:
+    """Landmark positions (N, 20, 3), mm and wrist-relative, for an (N, 22)
+    array of joint angles in degrees."""
+    values = np.asarray(angles, dtype=float)
+    if values.ndim != 2 or values.shape[1] != N_DOF:
+        raise InvalidInputError(f"expected (N, {N_DOF}) angles, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("joint angles must be finite")
+    origins, rotations, _, _ = _fk_state(skeleton, values)
+    return _landmark_points(skeleton, origins, rotations)
 
 
 def forward_kinematics(skeleton: HandSkeleton, angles: JointAngles22) -> LandmarkSet:
     """Landmark positions (mm, wrist-relative) for the given joint angles."""
-    origins, rotations, _, _ = _fk_state(skeleton, angles)
-    return LandmarkSet(_landmark_points(skeleton, origins, rotations))
+    return LandmarkSet(landmark_positions(skeleton, angles.values[None])[0])
 
 
 def landmark_jacobian(skeleton: HandSkeleton, angles: JointAngles22):
@@ -226,11 +250,11 @@ def landmark_jacobian(skeleton: HandSkeleton, angles: JointAngles22):
     Returns (points, jac) with points (20, 3) mm and jac (20, 3, 22) in
     mm per degree: jac[i, :, j] = d points[i] / d angles[j].
     """
-    origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, angles)
-    points = _landmark_points(skeleton, origins, rotations)
+    origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, angles.values[None])
+    points = _landmark_points(skeleton, origins, rotations)[0]
     # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian
-    rel = points[:, None, :] - dof_origins[None, :, :]          # (20, 22, 3)
-    jac = np.cross(np.broadcast_to(dof_axes, rel.shape), rel)   # (20, 22, 3)
+    rel = points[:, None, :] - dof_origins[0][None, :, :]       # (20, 22, 3)
+    jac = np.cross(np.broadcast_to(dof_axes[0], rel.shape), rel)  # (20, 22, 3)
     jac = jac * skeleton.landmark_dof_mask[:, :, None]
     return points, np.swapaxes(jac, 1, 2) * (np.pi / 180.0)
 
@@ -256,88 +280,7 @@ def clamp_to_limits(angles: JointAngles22, skeleton: HandSkeleton) -> JointAngle
 
 
 # ---------------------------------------------------------------------------
-# default skeleton and config-file persistence
-
-_FINGERS = (
-    # name, mcp offset, direction, (prox, mid, dist) lengths mm
-    ("index", (17.0, 66.0, 0.0), (0.12, 0.99, 0.0), (45.0, 25.0, 17.0)),
-    ("middle", (0.0, 68.0, 0.0), (0.0, 1.0, 0.0), (50.0, 29.0, 18.0)),
-    ("ring", (-16.0, 63.0, 0.0), (-0.10, 0.995, 0.0), (44.0, 26.0, 17.0)),
-    ("pinky", (-30.0, 58.0, 0.0), (-0.20, 0.98, 0.0), (34.0, 19.0, 15.0)),
-)
-
-_DEFAULT_LIMITS = {
-    "thumb_cmc_fe": (-30.0, 60.0),
-    "thumb_cmc_aa": (-30.0, 30.0),
-    "thumb_mcp_fe": (-10.0, 70.0),
-    "thumb_ip_fe": (-15.0, 90.0),
-    "mcp_aa": (-25.0, 25.0),
-    "mcp_fe": (-30.0, 95.0),
-    "pip_fe": (-5.0, 110.0),
-    "dip_fe": (-5.0, 90.0),
-    "wrist_fe": (-80.0, 80.0),
-    "wrist_ru": (-40.0, 40.0),
-}
-
-
-def _unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-def build_default_skeleton() -> HandSkeleton:
-    """Right-hand skeleton with literature-typical bone lengths.
-
-    Fingers extend along +y, palm normal along +z; finger FE axes lie in the
-    palm plane perpendicular to each finger, AA axes follow the palm normal.
-    Landmark local offsets are all zero: landmarks sit at joint origins, with
-    rigid tip bones supplying the fingertip points.
-    """
-    z = np.array([0.0, 0.0, 1.0])
-    bones = []
-    limits = np.zeros((N_DOF, 2))
-
-    def add(name, parent, offset, axis, dof, limit_key=None):
-        bones.append(Bone(parent=parent, offset=np.asarray(offset, float),
-                          axis=np.asarray(axis, float), dof=dof, name=name))
-        if dof is not None:
-            limits[dof] = _DEFAULT_LIMITS[limit_key or name]
-        return len(bones) - 1
-
-    # wrist: deviation (AA analogue) composed before flexion, both at the origin
-    ru = add("wrist_ru", -1, (0, 0, 0), z, WRIST_RU)
-    fe = add("wrist_fe", ru, (0, 0, 0), (1, 0, 0), WRIST_FE)
-
-    landmark_map = []
-    fingertips = []
-
-    # thumb: CMC FE+AA stacked at the same origin, then MCP and IP
-    t_dir = _unit((0.55, 0.80, 0.0))
-    t_fe_axis = _unit(np.cross(t_dir, z))
-    cmc = add("thumb_cmc_fe", fe, (28.0, 18.0, 0.0), t_fe_axis, 0)
-    cmc_aa = add("thumb_cmc_aa", cmc, (0, 0, 0), z, 1)
-    mcp = add("thumb_mcp_fe", cmc_aa, t_dir * 46.0, t_fe_axis, 2)
-    ip = add("thumb_ip_fe", mcp, t_dir * 32.0, t_fe_axis, 3)
-    tip = add("thumb_tip", ip, t_dir * 23.0, z, None)
-    landmark_map += [(cmc, np.zeros(3)), (mcp, np.zeros(3)), (ip, np.zeros(3)), (tip, np.zeros(3))]
-    fingertips.append(len(landmark_map) - 1)
-
-    for fi, (name, mcp_offset, direction, lengths) in enumerate(_FINGERS):
-        d = _unit(direction)
-        fe_axis = _unit(np.cross(d, z))
-        base = 4 * (fi + 1)
-        aa = add(f"{name}_mcp_aa", fe, mcp_offset, z, base, "mcp_aa")
-        mcp_b = add(f"{name}_mcp_fe", aa, (0, 0, 0), fe_axis, base + 1, "mcp_fe")
-        pip = add(f"{name}_pip_fe", mcp_b, d * lengths[0], fe_axis, base + 2, "pip_fe")
-        dip = add(f"{name}_dip_fe", pip, d * lengths[1], fe_axis, base + 3, "dip_fe")
-        tip = add(f"{name}_tip", dip, d * lengths[2], z, None)
-        landmark_map += [(aa, np.zeros(3)), (pip, np.zeros(3)),
-                         (dip, np.zeros(3)), (tip, np.zeros(3))]
-        fingertips.append(len(landmark_map) - 1)
-
-    return HandSkeleton(bones=tuple(bones), limits=limits,
-                        landmark_map=tuple(landmark_map),
-                        fingertip_indices=tuple(fingertips))
+# skeleton config-file persistence
 
 
 def save_skeleton(skeleton: HandSkeleton, path) -> None:

@@ -114,14 +114,13 @@ def inverse_sigmoid_reparam(a, limits) -> np.ndarray:
     return np.log(t) - np.log1p(-t)
 
 
-def ik_loss_and_gradient(z, targets: LandmarkSet, skeleton: HandSkeleton,
-                         handedness: str = "right"):
+def ik_loss_and_gradient(z, targets: LandmarkSet, skeleton: HandSkeleton):
     """Mean squared landmark error of FK(sigmoid_reparam(z)) and its z-gradient."""
     z = np.asarray(z, dtype=float)
     limits = skeleton.limits
     s = _sigmoid(z)
     a = limits[:, 0] + (limits[:, 1] - limits[:, 0]) * s
-    points, jac = landmark_jacobian(skeleton, JointAngles22(a, handedness=handedness))
+    points, jac = landmark_jacobian(skeleton, JointAngles22(a))
     residual = points - targets.points                       # (20, 3)
     loss = float(np.sum(residual ** 2)) / N_LANDMARKS
     grad_a = 2.0 / N_LANDMARKS * np.einsum("ik,ikj->j", residual, jac)
@@ -135,6 +134,10 @@ class LbfgsTrace:
     wolfe_satisfied: list = field(default_factory=list)
     inner_evals: list = field(default_factory=list)
     n_evals: int = 0
+    converged: bool = False
+    outer_steps: int = 0                # accepted L-BFGS updates
+    final_loss: float = np.nan
+    final_gradient: np.ndarray | None = None
 
 
 def _zoom(objective, x, d, phi0, dphi0, lo, hi, c1, c2, budget, trace):
@@ -226,8 +229,7 @@ def lbfgs_minimize(objective, z0, config: IkConfig = IkConfig()):
     """
     x = np.asarray(z0, dtype=float).copy()
     f, g = objective(x)
-    trace = LbfgsTrace()
-    trace.n_evals = 1
+    trace = LbfgsTrace(n_evals=1)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise InvalidInputError("objective must be finite at the starting point")
     s_hist: deque = deque(maxlen=config.history_size)
@@ -356,6 +358,7 @@ def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
     mid-range pose, mid-range pose, then a fixed set of seeded perturbations)
     until the residual is acceptable; the best solve is returned either way.
     The candidate list is deterministic, so repeated calls are bit-identical.
+    `handedness` only labels the returned angles: the fit uses `skeleton` as is.
     """
     if alignment is not None:
         targets = LandmarkSet(alignment.apply(targets.points))
@@ -376,7 +379,7 @@ def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
                    for _ in range(_N_PERTURBED_RESTARTS)]
 
     def objective(z):
-        return ik_loss_and_gradient(z, targets, skeleton, handedness=handedness)
+        return ik_loss_and_gradient(z, targets, skeleton)
 
     best = None
     iterations_total = 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .emg_dsp import EmgWindow, N_CHANNELS
 from .errors import ConfigurationError, InvalidInputError
-from .hand_model import N_DOF, forward_kinematics, JointAngles22
+from .hand_model import N_DOF, landmark_positions
 
 D_FEATURE = 256
 SE_RATIO = 4
@@ -440,11 +440,9 @@ def loss_l1_fingertip(pred: np.ndarray, gt: np.ndarray, skeleton,
     if fingertip_weight == 0.0:
         return float(l1)
     tips = list(skeleton.fingertip_indices)
-    dist = 0.0
-    for row_p, row_g in zip(pred, gt):
-        tp = forward_kinematics(skeleton, JointAngles22(row_p)).points[tips]
-        tg = forward_kinematics(skeleton, JointAngles22(row_g)).points[tips]
-        dist += np.linalg.norm(tp - tg, axis=1).mean()
+    tp = landmark_positions(skeleton, pred)[:, tips]
+    tg = landmark_positions(skeleton, gt)[:, tips]
+    dist = np.linalg.norm(tp - tg, axis=2).mean(axis=1).sum()
     return float(l1 + fingertip_weight * dist / len(pred))
 
 

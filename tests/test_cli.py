@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from handemg import cli, datastore as ds
+from handemg import cli, datastore as ds, emg_dsp
 from handemg.errors import DataFormatError
 from handemg.hand_model import (JointAngles22, default_skeleton,
                                 forward_kinematics)
@@ -55,9 +55,12 @@ def test_synth_info_filter_pipeline(capsys, tmp_path):
     code, _, _ = _run(capsys, "filter", str(ep), "--out", str(filt),
                       "--response", str(resp))
     assert code == 0
-    header, first = resp.read_text().splitlines()[:2]
+    lines = resp.read_text().splitlines()
+    header, first = lines[:2]
     assert header == "frequency_hz,gain"
     assert float(first.split(",")[1]) == 0.0  # DC gain
+    # one row per bin up to Nyquist of the filter's own FFT length
+    assert len(lines) == 1 + emg_dsp.filter_fft_length(8000) // 2 + 1 == 4098
 
 
 def test_synth_deterministic_bytes(capsys, tmp_path):
@@ -243,14 +246,36 @@ def _drop_participant(manifest):
     return manifest
 
 
+def _set_block(key, value):
+    def edit(manifest):
+        manifest["blocks"][0][key] = value
+        return manifest
+    return edit
+
+
+_MISTYPED_BLOCK_FIELDS = {
+    "shape-string": ("shape", "ab"),
+    "shape-float": ("shape", [2.0, 2]),
+    "shape-negative": ("shape", [-2, -2]),
+    "shape-bool": ("shape", [True, 2]),
+    "offset-string": ("offset", "0"),
+    "offset-negative": ("offset", -8),
+    "offset-bool": ("offset", False),
+    "crc32-negative": ("crc32", -1),
+    "name-list": ("name", [1]),
+    "dtype-list": ("dtype", ["<f8"]),
+}
+
+
 @pytest.mark.parametrize("edit, info_fails", [
     (lambda manifest: [manifest], True),
     (_drop("blocks"), True),
     (_drop("meta"), True),
     (_drop_block_crc, True),
     (_drop_participant, False),   # a valid EGL1 file, not a valid episode
-], ids=["json-list", "no-blocks", "no-meta", "block-without-crc32",
-        "episode-without-participant_id"])
+] + [(_set_block(*change), True) for change in _MISTYPED_BLOCK_FIELDS.values()],
+    ids=["json-list", "no-blocks", "no-meta", "block-without-crc32",
+         "episode-without-participant_id", *_MISTYPED_BLOCK_FIELDS])
 def test_malformed_manifest_is_bad_manifest(capsys, tmp_path, edit, info_fails):
     path = tmp_path / "ep.egl"
     ds.write_episode(ds.synth_episode(seed=0, duration_s=4.0), path)

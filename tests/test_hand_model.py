@@ -33,6 +33,32 @@ def test_rodrigues_composition():
     assert np.abs(r - hm.rodrigues(axis, 55.0)).max() < 1e-12
 
 
+def test_rodrigues_broadcasts_over_angles():
+    rng = np.random.default_rng(4)
+    axes = rng.normal(size=(7, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = rng.uniform(-180, 180, size=(5, 7))
+    batch = hm.rodrigues(axes, angles)
+    assert batch.shape == (5, 7, 3, 3)
+    for n in range(5):
+        for b in range(7):
+            assert np.array_equal(batch[n, b], hm.rodrigues(axes[b], angles[n, b]))
+    assert np.array_equal(hm.rodrigues(axes[0], 0.0), np.eye(3))
+    axes[3] *= 1.01
+    with pytest.raises(InvalidInputError):
+        hm.rodrigues(axes, angles)
+
+
+def test_landmark_positions_matches_single_pose_fk(skeleton):
+    rng = np.random.default_rng(5)
+    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
+    poses = rng.uniform(lo, hi, size=(200, 22))
+    batch = hm.landmark_positions(skeleton, poses)
+    single = np.stack([hm.forward_kinematics(skeleton, hm.JointAngles22(p)).points
+                       for p in poses])
+    assert np.array_equal(batch, single)
+
+
 def test_fk_zero_pose_shapes(skeleton):
     lm = hm.forward_kinematics(skeleton, hm.JointAngles22(np.zeros(22)))
     assert lm.points.shape == (20, 3)
@@ -126,3 +152,6 @@ def test_invalid_inputs(skeleton):
     bad[0] = np.nan
     with pytest.raises(InvalidInputError):
         hm.JointAngles22(bad)
+    for angles in (np.zeros((3, 21)), np.zeros(22), np.stack([np.zeros(22), bad])):
+        with pytest.raises(InvalidInputError):
+            hm.landmark_positions(skeleton, angles)

@@ -4,6 +4,7 @@ import pytest
 from handemg import model_core as mc
 from handemg.emg_dsp import EmgWindow
 from handemg.errors import ConfigurationError, InvalidInputError
+from handemg.hand_model import JointAngles22, forward_kinematics
 
 # frozen stage lengths for the 7790-sample training window (valid-conv math)
 WINDOW = 7790
@@ -197,6 +198,21 @@ def test_fingertip_loss(skeleton):
     assert abs(loss - 1.0) < 1e-12
     full = mc.loss_l1_fingertip(pred, gt, skeleton, fingertip_weight=0.01)
     assert full > loss
+
+
+def test_fingertip_loss_matches_per_row_fk(skeleton):
+    rng = np.random.default_rng(12)
+    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
+    pred, gt = rng.uniform(lo, hi, size=(2, 30, 22))
+    tips = list(skeleton.fingertip_indices)
+    dist = 0.0
+    for row_p, row_g in zip(pred, gt):
+        tp = forward_kinematics(skeleton, JointAngles22(row_p)).points[tips]
+        tg = forward_kinematics(skeleton, JointAngles22(row_g)).points[tips]
+        dist += np.linalg.norm(tp - tg, axis=1).mean()
+    expect = np.abs(pred - gt).mean() + 0.05 * dist / len(pred)
+    assert abs(mc.loss_l1_fingertip(pred, gt, skeleton, fingertip_weight=0.05)
+               - expect) < 1e-12
 
 
 def test_init_reproducible():
