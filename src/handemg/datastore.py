@@ -365,6 +365,8 @@ def read_blocks(path):
         if not (isinstance(name, str) and isinstance(block["dtype"], str)):
             raise DataFormatError("bad-manifest", f"block {name!r}: name and dtype "
                                   f"must be strings")
+        if name in arrays:
+            raise DataFormatError("bad-manifest", f"two blocks are named {name!r}")
         if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
             raise DataFormatError("bad-manifest", f"block {name}: shape must be a "
                                   f"list of non-negative integers")

@@ -39,7 +39,7 @@ Forward kinematics is one state function over an (N, 22) angle array
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 import numpy as np
@@ -54,6 +54,13 @@ WRIST_FE = 20
 WRIST_RU = 21
 
 SKELETON_FORMAT = "handemg-skeleton/1"
+
+
+def _read_only(values) -> np.ndarray:
+    """A float copy of `values` that cannot be written to."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def rodrigues(axis, angle_deg) -> np.ndarray:
@@ -93,9 +100,7 @@ class JointAngles22:
             raise InvalidInputError("joint angles must be finite")
         if self.handedness not in ("left", "right"):
             raise InvalidInputError(f"handedness must be 'left' or 'right', got {self.handedness!r}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
 
 @dataclass(frozen=True)
@@ -108,9 +113,7 @@ class LandmarkSet:
         points = np.asarray(self.points, dtype=float)
         if points.shape != (N_LANDMARKS, 3):
             raise InvalidInputError(f"expected ({N_LANDMARKS}, 3) points, got {points.shape}")
-        points = points.copy()
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _read_only(points))
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,16 @@ class Bone:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
+        object.__setattr__(self, "offset", _read_only(self.offset))
+        object.__setattr__(self, "axis", _read_only(self.axis))
 
 
 @dataclass(frozen=True)
 class HandSkeleton:
-    """Kinematic chain definition: bones, per-DoF limits, landmark attachment."""
+    """Kinematic chain definition: bones, per-DoF limits, landmark attachment.
+
+    Its arrays are read-only copies, so one instance can be shared.
+    """
 
     bones: tuple
     limits: np.ndarray          # (22, 2) degrees, [a_min, a_max) rows
@@ -145,12 +151,14 @@ class HandSkeleton:
     fingertip_indices: tuple    # 5 landmark indices
 
     def __post_init__(self):
-        limits = np.asarray(self.limits, dtype=float)
+        limits = _read_only(self.limits)
         if limits.shape != (N_DOF, 2):
             raise ConfigurationError(f"limits must have shape ({N_DOF}, 2), got {limits.shape}")
         if not np.all(limits[:, 0] < limits[:, 1]):
             raise ConfigurationError("every DoF requires a_min < a_max")
         object.__setattr__(self, "limits", limits)
+        object.__setattr__(self, "landmark_map", tuple(
+            (bone, _read_only(offset)) for bone, offset in self.landmark_map))
         seen_dofs = set()
         for i, bone in enumerate(self.bones):
             if not (-1 <= bone.parent < i):
@@ -182,6 +190,7 @@ class HandSkeleton:
                 if self.bones[j].dof is not None:
                     mask[li, self.bones[j].dof] = True
                 j = self.bones[j].parent
+        mask.flags.writeable = False
         return mask
 
     @cached_property
@@ -327,8 +336,12 @@ def load_skeleton(path) -> HandSkeleton:
                         fingertip_indices=tuple(int(i) for i in doc["fingertip_indices"]))
 
 
+@cache
 def default_skeleton() -> HandSkeleton:
-    """The packaged default right-hand skeleton (assets/default_hand.skel)."""
+    """The packaged default right-hand skeleton (assets/default_hand.skel).
+
+    Parsed once per process; every call returns the same read-only instance.
+    """
     ref = resources.files("handemg").joinpath("assets/default_hand.skel")
     with resources.as_file(ref) as path:
         return load_skeleton(path)

@@ -11,7 +11,8 @@ Architecture constants follow the published layer list: Conv1d 16->256 k11 s5,
 Conv1d 256->256 k5 s2, then two TDS stages (in-conv k9 s5 / k3 s1, depthwise
 width 5 / 3 over an 8 x 32 channel grid, two 256x256 channel-mix linears) with
 global SE after each stage. All convolutions are valid (unpadded); the TDS
-residual center-crops (k-1)/2 frames per side. Unstated details are fixed
+residual center-crops (k-1)/2 frames per side. The four strided convolutions
+are per-tap BLAS matrix products (`conv1d_valid`). Unstated details are fixed
 here as conventions: ReLU after the frontend and in-convs, SE ratio 4,
 pre-norm transformer with (tanh-approximate) GELU, bidirectional attention,
 RoPE base 10000.
@@ -84,11 +85,23 @@ def _sigmoid(x):
 
 def conv1d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                  stride: int) -> np.ndarray:
-    """Valid (unpadded) 1-D convolution: (C_in, T) -> (C_out, T')."""
+    """Valid (unpadded) 1-D convolution: (C_in, T) -> (C_out, T').
+
+    One BLAS matrix product per kernel tap k, weight[:, :, k] times the strided
+    view x[:, k::stride], summed in tap order; no (C_in * kernel, T') column
+    matrix is built.
+    """
     kernel = weight.shape[2]
-    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=1)
-    windows = windows[:, ::stride]                       # (C_in, T', k)
-    return np.einsum("oik,itk->ot", weight, windows) + bias[:, None]
+    n_out = _conv_out_len(x.shape[1], kernel, stride)
+    if n_out < 1:
+        raise InvalidInputError(f"{x.shape[1]} samples are fewer than the "
+                                f"kernel width {kernel}")
+    span = stride * (n_out - 1) + 1
+    out = weight[:, :, 0] @ x[:, :span:stride]
+    for k in range(1, kernel):
+        out += weight[:, :, k] @ x[:, k:k + span:stride]
+    out += bias[:, None]
+    return out
 
 
 def _check_shape(name, arr, shape):

@@ -246,6 +246,11 @@ def _drop_participant(manifest):
     return manifest
 
 
+def _duplicate_block(manifest):
+    manifest["blocks"].append(dict(manifest["blocks"][0]))
+    return manifest
+
+
 def _set_block(key, value):
     def edit(manifest):
         manifest["blocks"][0][key] = value
@@ -273,9 +278,11 @@ _MISTYPED_BLOCK_FIELDS = {
     (_drop("meta"), True),
     (_drop_block_crc, True),
     (_drop_participant, False),   # a valid EGL1 file, not a valid episode
+    (_duplicate_block, True),
 ] + [(_set_block(*change), True) for change in _MISTYPED_BLOCK_FIELDS.values()],
     ids=["json-list", "no-blocks", "no-meta", "block-without-crc32",
-         "episode-without-participant_id", *_MISTYPED_BLOCK_FIELDS])
+         "episode-without-participant_id", "duplicate-block-name",
+         *_MISTYPED_BLOCK_FIELDS])
 def test_malformed_manifest_is_bad_manifest(capsys, tmp_path, edit, info_fails):
     path = tmp_path / "ep.egl"
     ds.write_episode(ds.synth_episode(seed=0, duration_s=4.0), path)

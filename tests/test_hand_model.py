@@ -141,6 +141,15 @@ def test_skeleton_roundtrip(tmp_path, skeleton):
     assert np.array_equal(loaded.limits, skeleton.limits)
 
 
+def test_default_skeleton_is_one_read_only_instance():
+    skeleton = hm.default_skeleton()
+    assert hm.default_skeleton() is skeleton
+    for arr in (skeleton.limits, skeleton.bones[1].offset, skeleton.bones[1].axis,
+                skeleton.landmark_map[0][1], skeleton.landmark_dof_mask):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_invalid_inputs(skeleton):
     with pytest.raises(InvalidInputError):
         hm.JointAngles22(np.zeros(21))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,6 +54,59 @@ def test_featurize_deterministic():
     a = mc.tds_featurize(win, weights)
     b = mc.tds_featurize(win, weights)
     assert np.array_equal(a.data, b.data)
+
+
+def _conv_reference(x, weight, bias, stride):
+    """out[o, t] = bias[o] + sum over (i, k) of weight[o, i, k] * x[i, stride*t + k]."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, weight.shape[2], axis=1)
+    return np.einsum("oik,itk->ot", weight, windows[:, ::stride]) + bias[:, None]
+
+
+# input length of each strided conv for the 7790-sample window
+_CONV_INPUTS = (WINDOW, STAGE_LENGTHS[0], STAGE_LENGTHS[1], STAGE_LENGTHS[3])
+
+
+@pytest.mark.parametrize("layer", range(len(mc._CONV_LAYOUT)))
+def test_conv_matches_einsum_definition(layer):
+    rng = np.random.default_rng(20 + layer)
+    kernel, stride = mc._CONV_LAYOUT[layer]
+    c_in = 16 if layer == 0 else mc.D_FEATURE
+    weight = rng.normal(size=(mc.D_FEATURE, c_in, kernel)) / np.sqrt(c_in * kernel)
+    bias = rng.normal(size=mc.D_FEATURE)
+    # the window's length, then the two lengths that give exactly one frame
+    for n in (_CONV_INPUTS[layer], kernel, kernel + stride - 1):
+        x = rng.normal(size=(c_in, n))
+        out = mc.conv1d_valid(x, weight, bias, stride)
+        ref = _conv_reference(x, weight, bias, stride)
+        assert out.shape == ref.shape == (mc.D_FEATURE, (n - kernel) // stride + 1)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(InvalidInputError):
+        mc.conv1d_valid(rng.normal(size=(c_in, kernel - 1)), weight, bias, stride)
+
+
+_FEATURIZE_CHILD = """
+import sys
+import numpy as np
+from handemg import model_core as mc
+from handemg.emg_dsp import EmgWindow
+window = EmgWindow(samples=np.random.default_rng(7).normal(size=(7790, 16)))
+features = mc.tds_featurize(window, mc.init_featurizer_weights(7)).data
+sys.stdout.buffer.write(features.tobytes())
+"""
+
+
+def test_featurize_bit_identical_across_blas_threads():
+    """The thread count is set in each child's environment only."""
+    path = [str(Path(mc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        child = subprocess.run([sys.executable, "-c", _FEATURIZE_CHILD], env=env,
+                               capture_output=True, check=True, timeout=300)
+        outputs.append(child.stdout)
+    assert len(outputs[0]) == mc.D_FEATURE * STAGE_LENGTHS[-1] * 8
+    assert outputs[0] == outputs[1]
 
 
 def test_receptive_field_locality():
