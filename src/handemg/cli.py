@@ -165,14 +165,20 @@ def _read_mesh(path):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "v" and len(parts) == 4:
-                vertices.append([float(x) for x in parts[1:]])
-            elif parts[0] == "f" and len(parts) == 4:
-                faces.append([int(x) for x in parts[1:]])   # 0-based indices
-            else:
+            try:
+                if parts[0] == "v" and len(parts) == 4:
+                    vertices.append([float(x) for x in parts[1:]])
+                elif parts[0] == "f" and len(parts) == 4:
+                    faces.append([int(x) for x in parts[1:]])   # 0-based indices
+                else:
+                    raise ValueError
+            except ValueError:
                 raise DataFormatError("bad-mesh", f"{path}:{line_no}: "
-                                      f"expected 'v x y z' or 'f i j k'")
-    return occlusion.TriangleMesh(np.array(vertices), np.array(faces))
+                                      f"expected 'v x y z' or 'f i j k'") from None
+    try:
+        return occlusion.TriangleMesh(np.array(vertices), np.array(faces))
+    except (ValueError, OverflowError) as exc:
+        raise DataFormatError("bad-mesh", f"{path}: {exc}") from exc
 
 
 def _read_camera(path):
@@ -180,15 +186,16 @@ def _read_camera(path):
     try:
         k = np.array([[cfg["fx"], 0.0, cfg["cx"]],
                       [0.0, cfg["fy"], cfg["cy"]],
-                      [0.0, 0.0, 1.0]])
+                      [0.0, 0.0, 1.0]], dtype=float)
         rotation = np.asarray(cfg.get("rotation", np.eye(3).tolist()), float)
         translation = np.asarray(cfg.get("translation", [0.0, 0.0, 0.0]), float)
         return occlusion.PinholeCamera(
             intrinsics=k, rotation=rotation.reshape(3, 3),
-            translation=translation, width=int(cfg["width"]),
-            height=int(cfg["height"]))
+            translation=translation, width=cfg["width"], height=cfg["height"])
     except KeyError as exc:
         raise DataFormatError("bad-camera", f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError("bad-camera", f"{path}: {exc}") from exc
 
 
 def _cmd_occlude(args):
@@ -199,8 +206,7 @@ def _cmd_occlude(args):
     print("visible," + ",".join("1" if v else "0"
                                 for v in report.visible_vertex_flags))
     if args.depth:
-        cam_mesh = occlusion.transform_to_camera(mesh, camera)
-        buffer = occlusion.rasterize_depth(cam_mesh, camera)
+        buffer = report.depth_buffer
         np.where(np.isfinite(buffer), buffer, 0.0).astype("<f4").tofile(args.depth)
         print(f"wrote {args.depth} ({camera.height}x{camera.width} float32)")
 

@@ -194,6 +194,24 @@ class HandSkeleton:
         return mask
 
     @cached_property
+    def wrist_rigid_rest(self):
+        """Landmarks that move with the wrist but with no finger DoF, and their
+        positions (K, 3) in the mid-range pose with both wrist angles at 0.
+
+        Rigidity is read from the Jacobian at the mid-range pose. IK aligns
+        these rest positions to its targets to estimate the wrist angles.
+        """
+        mid = self.limits.mean(axis=1)
+        _, jac = landmark_jacobian(self, JointAngles22(mid))
+        rigid = np.flatnonzero(np.abs(jac[:, :, :WRIST_FE]).max(axis=(1, 2)) < 1e-12)
+        rigid.flags.writeable = False
+        rest_angles = mid.copy()
+        rest_angles[WRIST_FE] = 0.0
+        rest_angles[WRIST_RU] = 0.0
+        rest = forward_kinematics(self, JointAngles22(rest_angles)).points[rigid]
+        return rigid, _read_only(rest)
+
+    @cached_property
     def _fk_tables(self):
         """Bone axes (B, 3), each bone's angle column (-1 for rigid bones),
         and each landmark's bone index and local offset (20, 3)."""

@@ -306,15 +306,6 @@ _N_PERTURBED_RESTARTS = 4
 _RESTART_SIGMA = 0.75
 
 
-def _wrist_rigid_landmarks(skeleton: HandSkeleton):
-    """Landmark indices that move with the wrist but with no finger DoF."""
-    mid = skeleton.limits.mean(axis=1)
-    _, jac = landmark_jacobian(skeleton, JointAngles22(mid))
-    finger = [i for i in range(N_LANDMARKS)
-              if np.abs(jac[i, :, :WRIST_FE]).max() < 1e-12]
-    return finger
-
-
 def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.ndarray:
     """Mid-range pose with the wrist set by rotation-only Procrustes.
 
@@ -327,12 +318,8 @@ def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.nda
     lo, hi = limits[:, 0], limits[:, 1]
     mid = limits.mean(axis=1)
     start = mid.copy()
-    rigid = _wrist_rigid_landmarks(skeleton)
+    rigid, rest = skeleton.wrist_rigid_rest
     if len(rigid) >= 3:
-        rest_angles = mid.copy()
-        rest_angles[WRIST_FE] = 0.0
-        rest_angles[WRIST_RU] = 0.0
-        rest = forward_kinematics(skeleton, JointAngles22(rest_angles)).points[rigid]
         tgt = targets.points[rigid]
         u, _, vt = np.linalg.svd(rest.T @ tgt)
         d = np.sign(np.linalg.det(vt.T @ u.T))

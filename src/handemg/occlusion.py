@@ -14,10 +14,20 @@ open): pixel centers at (x + 0.5, y + 0.5) with an inclusive top-left
 tie-break; perspective-correct depth (1/z interpolated over the screen
 triangle); no back-face culling; triangles with any vertex at z <= 1e-6 mm
 are rejected whole rather than clipped.
+
+The rasterizer has no per-triangle loop: it sets up every triangle at once
+and evaluates the edge functions (Pineda 1988) over all (triangle, pixel)
+pairs of the bounding boxes, in chunks of at most `_CHUNK_PIXELS` pairs (a
+box larger than that is a chunk of its own), reducing into the buffer with
+`np.minimum.at`. Each depth is computed by the same elementwise operations
+as a per-triangle loop and the minimum does not depend on order, so the
+buffer is bit-identical to that loop's at any chunk budget. Visibility
+gathers every vertex's window at once.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +39,8 @@ EPSILON_MM = 5.0
 NEIGHBORHOOD = 5
 _NEAR_Z_MM = 1e-6
 _MIN_TRIANGLE_AREA_MM2 = 1e-9
+# (triangle, pixel) pairs the rasterizer evaluates at once
+_CHUNK_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,8 @@ class TriangleMesh:
             raise InvalidInputError("vertices must be (N, 3)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise InvalidInputError("triangles must be (M, 3)")
+        if not np.isfinite(vertices).all():
+            raise InvalidInputError("vertices must be finite")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise InvalidInputError("triangle index out of range")
         if triangles.size:
@@ -70,15 +84,16 @@ class PinholeCamera:
         k = np.asarray(self.intrinsics, dtype=float)
         r = np.asarray(self.rotation, dtype=float)
         t = np.asarray(self.translation, dtype=float)
-        if k.shape != (3, 3) or k[0, 0] <= 0 or k[1, 1] <= 0:
-            raise InvalidInputError("intrinsics must be 3x3 with fx, fy > 0")
-        if r.shape != (3, 3) or np.abs(r @ r.T - np.eye(3)).max() > 1e-8 \
-                or np.linalg.det(r) < 0:
+        if k.shape != (3, 3) or not np.isfinite(k).all() or k[0, 0] <= 0 or k[1, 1] <= 0:
+            raise InvalidInputError("intrinsics must be finite and 3x3 with fx, fy > 0")
+        if r.shape != (3, 3) or not np.isfinite(r).all() \
+                or np.abs(r @ r.T - np.eye(3)).max() > 1e-8 or np.linalg.det(r) < 0:
             raise InvalidInputError("rotation must be orthonormal with det +1")
-        if t.shape != (3,):
-            raise InvalidInputError("translation must be a 3-vector")
-        if self.width < 1 or self.height < 1:
-            raise InvalidInputError("resolution must be positive")
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise InvalidInputError("translation must be a finite 3-vector")
+        for n in (self.width, self.height):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise InvalidInputError(f"resolution must be positive integers, got {n!r}")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
@@ -89,6 +104,7 @@ class OcclusionReport:
     s_occ: float
     visible_vertex_flags: np.ndarray  # (N,) bool
     vertex_area_weights: np.ndarray   # (N,) mm^2
+    depth_buffer: np.ndarray          # (height, width) mm, +inf where uncovered
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -108,57 +124,91 @@ def _project(camera: PinholeCamera, vertices: np.ndarray):
     z = vertices[:, 2]
     u = k[0, 0] * vertices[:, 0] / z + k[0, 2]
     v = k[1, 1] * vertices[:, 1] / z + k[1, 2]
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise InvalidInputError("a vertex projects beyond the floating-point range")
     return u, v
+
+
+def _safe_vertices(verts: np.ndarray) -> np.ndarray:
+    """Vertices at or behind the near plane replaced by (0, 0, 1)."""
+    return np.where(verts[:, 2:3] > _NEAR_Z_MM, verts, np.array([0.0, 0.0, 1.0]))
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0..c-1 for each count c, concatenated."""
+    firsts = np.cumsum(counts) - counts
+    return np.arange(firsts[-1] + counts[-1]) - np.repeat(firsts, counts)
 
 
 def rasterize_depth(camera_mesh: TriangleMesh, camera: PinholeCamera) -> np.ndarray:
     """Minimal-depth buffer (height, width) in mm; +inf where uncovered."""
     h, w = camera.height, camera.width
     buffer = np.full((h, w), DEPTH_SENTINEL)
-    verts = camera_mesh.vertices
-    if not len(camera_mesh.triangles):
+    tris = camera_mesh.triangles
+    if not len(tris):
         return buffer
-    u_all, v_all = _project(camera, np.where(verts[:, 2:3] > _NEAR_Z_MM, verts,
-                                             np.array([0.0, 0.0, 1.0])))
-    for tri in camera_mesh.triangles:
-        z = verts[tri, 2]
-        if z.min() <= _NEAR_Z_MM:
-            continue  # whole-triangle near clip
-        ux, vy = u_all[tri], v_all[tri]
-        area2 = ((ux[1] - ux[0]) * (vy[2] - vy[0])
-                 - (vy[1] - vy[0]) * (ux[2] - ux[0]))
-        if area2 == 0.0:
-            continue
-        if area2 < 0:  # normalize winding so edge functions are >= 0 inside
-            tri = tri[[0, 2, 1]]
-            z = verts[tri, 2]
-            ux, vy = u_all[tri], v_all[tri]
-            area2 = -area2
-        x0 = max(int(np.floor(ux.min() - 0.5)), 0)
-        x1 = min(int(np.ceil(ux.max() - 0.5)), w - 1)
-        y0 = max(int(np.floor(vy.min() - 0.5)), 0)
-        y1 = min(int(np.ceil(vy.max() - 0.5)), h - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-        px = np.arange(x0, x1 + 1) + 0.5
-        py = np.arange(y0, y1 + 1) + 0.5
-        pu, pv = np.meshgrid(px, py)
-        lam = []
-        inside = np.ones(pu.shape, dtype=bool)
+    u_all, v_all = _project(camera, _safe_vertices(camera_mesh.vertices))
+    z, u, v = camera_mesh.vertices[tris, 2], u_all[tris], v_all[tris]   # (M, 3) each
+    area2 = ((u[:, 1] - u[:, 0]) * (v[:, 2] - v[:, 0])
+             - (v[:, 1] - v[:, 0]) * (u[:, 2] - u[:, 0]))
+    # normalize winding so edge functions are >= 0 inside
+    flip = area2 < 0
+    for a in (z, u, v):
+        a[flip] = a[flip][:, [0, 2, 1]]
+    area2 = np.where(flip, -area2, area2)
+    # pixel bounding boxes, compared and clamped in float so that a far
+    # off-screen triangle cannot overflow the integer cast below
+    x0 = np.maximum(np.floor(u.min(axis=1) - 0.5), 0.0)
+    x1 = np.minimum(np.ceil(u.max(axis=1) - 0.5), w - 1.0)
+    y0 = np.maximum(np.floor(v.min(axis=1) - 0.5), 0.0)
+    y1 = np.minimum(np.ceil(v.max(axis=1) - 0.5), h - 1.0)
+    keep = ((z.min(axis=1) > _NEAR_Z_MM) & (area2 != 0.0)   # whole-triangle near clip
+            & (x0 <= x1) & (y0 <= y1))
+    if not keep.any():
+        return buffer
+    z, u, v, area2 = z[keep].T, u[keep].T, v[keep].T, area2[keep]     # z, u, v: (3, K)
+    x0, x1, y0, y1 = (b[keep].astype(np.int64) for b in (x0, x1, y0, y1))
+    # edge i runs from vertex a = i + 1 to vertex b = i + 2
+    ax, ay = np.roll(u, -1, axis=0), np.roll(v, -1, axis=0)
+    bx, by = np.roll(u, -2, axis=0), np.roll(v, -2, axis=0)
+    dx, dy = bx - ax, by - ay
+    # inclusive top-left rule for pixels exactly on an edge
+    top_left = ((by == ay) & (bx > ax)) | (by < ay)
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    ends = np.cumsum(nx * ny)
+    flat = buffer.ravel()
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _CHUNK_PIXELS, side="right")),
+                   start + 1)
+        # the chunk's box rows and box columns, triangle by triangle
+        row_t = np.repeat(np.arange(start, stop), ny[start:stop])
+        col_t = np.repeat(np.arange(start, stop), nx[start:stop])
+        py = y0[row_t] + _ranks(ny[start:stop])
+        px = x0[col_t] + _ranks(nx[start:stop])
+        pv, pu = py + 0.5, px + 0.5                        # pixel centres
+        # (triangle, pixel) pairs, row-major within each box, as a loop over
+        # triangles visits them: ri is the pair's box row, ci its box column
+        row_nx = nx[row_t]
+        col_first = np.cumsum(nx[start:stop]) - nx[start:stop]
+        ri = np.repeat(np.arange(len(row_t)), row_nx)
+        ci = np.repeat(col_first[row_t - start], row_nx) + _ranks(row_nx)
+        inside = np.ones(len(ri), dtype=bool)
+        edges = []
         for i in range(3):
-            ax, ay = ux[(i + 1) % 3], vy[(i + 1) % 3]
-            bx, by = ux[(i + 2) % 3], vy[(i + 2) % 3]
-            e = (bx - ax) * (pv - ay) - (by - ay) * (pu - ax)
-            # inclusive top-left rule for pixels exactly on an edge
-            top_left = (by == ay and bx > ax) or (by < ay)
-            inside &= (e > 0) | ((e == 0) & top_left)
-            lam.append(e / area2)
-        if not inside.any():
-            continue
-        inv_z = lam[0] / z[0] + lam[1] / z[1] + lam[2] / z[2]
-        depth = 1.0 / inv_z
-        view = buffer[y0:y1 + 1, x0:x1 + 1]
-        np.minimum(view, np.where(inside, depth, DEPTH_SENTINEL), out=view)
+            # e = dx * (pv - ay) - dy * (pu - ax); the first product depends
+            # only on the pixel's row, the second only on its column
+            e = ((dx[i, row_t] * (pv - ay[i, row_t]))[ri]
+                 - (dy[i, col_t] * (pu - ax[i, col_t]))[ci])
+            inside &= (e > 0) | ((e == 0) & top_left[i, row_t][ri])
+            edges.append(e)
+        ri, ci = ri[inside], ci[inside]
+        t = row_t[ri]
+        lam = [e[inside] / area2[t] for e in edges]
+        inv_z = lam[0] / z[0, t] + lam[1] / z[1, t] + lam[2] / z[2, t]
+        np.minimum.at(flat, py[ri] * w + px[ci], 1.0 / inv_z)
+        start = stop
     return buffer
 
 
@@ -171,15 +221,20 @@ def vertex_visibility(camera_mesh: TriangleMesh, camera: PinholeCamera,
     half = neighborhood // 2
     verts = camera_mesh.vertices
     visible = np.zeros(len(verts), dtype=bool)
-    in_front = verts[:, 2] > _NEAR_Z_MM
-    u, v = _project(camera, np.where(in_front[:, None], verts, np.array([0.0, 0.0, 1.0])))
-    px, py = np.floor(u).astype(int), np.floor(v).astype(int)
-    for i in np.nonzero(in_front)[0]:
-        if not (0 <= px[i] < camera.width and 0 <= py[i] < camera.height):
-            continue
-        window = depth_buffer[max(py[i] - half, 0):py[i] + half + 1,
-                              max(px[i] - half, 0):px[i] + half + 1]
-        visible[i] = bool(np.any(np.abs(window - verts[i, 2]) <= epsilon_mm))
+    u, v = _project(camera, _safe_vertices(verts))
+    on_image = ((verts[:, 2] > _NEAR_Z_MM) & (u >= 0) & (u < camera.width)
+                & (v >= 0) & (v < camera.height))
+    idx = np.nonzero(on_image)[0]
+    offsets = np.arange(-half, half + 1)
+    rows = np.floor(v[idx]).astype(np.int64)[:, None] + offsets     # (K, n)
+    cols = np.floor(u[idx]).astype(np.int64)[:, None] + offsets
+    row_ok = (rows >= 0) & (rows < camera.height)
+    col_ok = (cols >= 0) & (cols < camera.width)
+    window = depth_buffer[np.clip(rows, 0, camera.height - 1)[:, :, None],
+                          np.clip(cols, 0, camera.width - 1)[:, None, :]]   # (K, n, n)
+    match = np.abs(window - verts[idx, 2][:, None, None]) <= epsilon_mm
+    match &= row_ok[:, :, None] & col_ok[:, None, :]
+    visible[idx] = match.any(axis=(1, 2))
     return visible
 
 
@@ -200,4 +255,4 @@ def self_occlusion_score(mesh: TriangleMesh, camera: PinholeCamera,
     visible = vertex_visibility(cam_mesh, camera, buffer, epsilon_mm, neighborhood)
     s_occ = 1.0 - weights[visible].sum() / total
     return OcclusionReport(s_occ=float(s_occ), visible_vertex_flags=visible,
-                           vertex_area_weights=weights)
+                           vertex_area_weights=weights, depth_buffer=buffer)

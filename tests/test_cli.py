@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from handemg import cli, datastore as ds, emg_dsp
+from handemg import cli, datastore as ds, emg_dsp, occlusion
 from handemg.errors import DataFormatError
 from handemg.hand_model import (JointAngles22, default_skeleton,
                                 forward_kinematics)
@@ -141,6 +141,61 @@ def test_occlude_command(capsys, tmp_path):
                         "--camera", str(cam))
     assert code == 2
     assert "bad-mesh" in err
+
+
+_MESH = "v -50 -50 800\nv 50 -50 800\nv 0 50 800\nf 0 1 2\n"
+_CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
+           "width": "512", "height": "512"}
+
+
+@pytest.mark.parametrize("mesh, camera, detail", [
+    (_MESH + "f 0 1 2.5\n", {}, "bad-mesh: {mesh}:5:"),
+    (_MESH + "v 1 2 abc\n", {}, "bad-mesh: {mesh}:5:"),
+    (_MESH + "f 0 1 99999999999999999999\n", {}, "bad-mesh: {mesh}:"),
+    (_MESH + "f 0 1 3\n", {}, "bad-mesh: {mesh}: triangle index out of range"),
+    (_MESH.replace("v 50 -50 800", "v nan -50 800"), {}, "bad-mesh: {mesh}: vertices must"),
+    (_MESH.replace("v 50 -50 800", "v inf -50 800"), {}, "bad-mesh: {mesh}: vertices must"),
+    (_MESH, {"fx": '"abc"'}, "bad-camera: {camera}:"),
+    (_MESH, {"fx": "nan"}, "bad-camera: {camera}: intrinsics must"),
+    (_MESH, {"fx": "null"}, "bad-camera: {camera}: intrinsics must"),
+    (_MESH, {"rotation": "[1, 2]"}, "bad-camera: {camera}:"),
+    (_MESH, {"translation": "[0, .inf, 0]"}, "bad-camera: {camera}: translation must"),
+    (_MESH, {"width": '"x"'}, "bad-camera: {camera}: resolution must"),
+    (_MESH, {"width": "64.7"}, "bad-camera: {camera}: resolution must"),
+    (_MESH, {"height": "true"}, "bad-camera: {camera}: resolution must"),
+], ids=["face-float-index", "vertex-not-a-number", "face-index-overflow",
+        "face-index-out-of-range", "vertex-nan", "vertex-inf", "fx-string", "fx-nan",
+        "fx-null", "rotation-two-values", "translation-inf", "width-string",
+        "width-float", "height-bool"])
+def test_malformed_mesh_or_camera_exit_2(capsys, tmp_path, mesh, camera, detail):
+    mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
+    mesh_path.write_text(mesh)
+    cam_path.write_text("".join(f"{k}: {v}\n" for k, v in {**_CAMERA, **camera}.items()))
+    code, out, err = _run(capsys, "occlude", "--mesh", str(mesh_path),
+                          "--camera", str(cam_path))
+    assert code == 2
+    assert err.splitlines()[-1].startswith(
+        "error: " + detail.format(mesh=mesh_path, camera=cam_path))
+    assert out == ""
+
+
+def test_occlude_depth_file_is_the_rasterized_buffer(capsys, tmp_path):
+    mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
+    mesh_path.write_text("v -50 -50 800\nv 50 -50 800\nv 0 50 800\n"
+                         "v -30 -40 400\nv 40 -20 400\nv 0 30 500\nf 0 1 2\nf 3 5 4\n")
+    cam_path.write_text("fx: 90.0\nfy: 90.0\ncx: 40.0\ncy: 30.0\nwidth: 80\nheight: 60\n"
+                        "rotation: [[0.8, -0.6, 0], [0.6, 0.8, 0], [0, 0, 1]]\n"
+                        "translation: [5.0, -3.0, 20.0]\n")
+    depth = tmp_path / "depth.f32"
+    code, out, _ = _run(capsys, "occlude", "--mesh", str(mesh_path),
+                        "--camera", str(cam_path), "--depth", str(depth))
+    assert code == 0
+    assert out.splitlines()[-1] == f"wrote {depth} (60x80 float32)"
+    mesh, camera = cli._read_mesh(mesh_path), cli._read_camera(cam_path)
+    buffer = occlusion.rasterize_depth(occlusion.transform_to_camera(mesh, camera), camera)
+    assert np.isfinite(buffer).any() and np.isinf(buffer).any()
+    expect = np.where(np.isfinite(buffer), buffer, 0.0).astype("<f4").tobytes()
+    assert depth.read_bytes() == expect
 
 
 def test_graph_pe_command(capsys):

@@ -145,9 +145,26 @@ def test_default_skeleton_is_one_read_only_instance():
     skeleton = hm.default_skeleton()
     assert hm.default_skeleton() is skeleton
     for arr in (skeleton.limits, skeleton.bones[1].offset, skeleton.bones[1].axis,
-                skeleton.landmark_map[0][1], skeleton.landmark_dof_mask):
+                skeleton.landmark_map[0][1], skeleton.landmark_dof_mask,
+                *skeleton.wrist_rigid_rest):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_wrist_rigid_rest_matches_per_call_definition(skeleton):
+    """The cached landmarks equal the Jacobian test and rest-pose FK that IK
+    used to run on every frame, and are computed once per skeleton."""
+    mid = skeleton.limits.mean(axis=1)
+    _, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(mid))
+    rigid = [i for i in range(hm.N_LANDMARKS)
+             if np.abs(jac[i, :, :hm.WRIST_FE]).max() < 1e-12]
+    rest_angles = mid.copy()
+    rest_angles[[hm.WRIST_FE, hm.WRIST_RU]] = 0.0
+    rest = hm.forward_kinematics(skeleton, hm.JointAngles22(rest_angles)).points[rigid]
+    cached_rigid, cached_rest = skeleton.wrist_rigid_rest
+    assert len(rigid) >= 3 and cached_rigid.tolist() == rigid
+    assert np.array_equal(cached_rest, rest)
+    assert skeleton.wrist_rigid_rest[1] is cached_rest
 
 
 def test_invalid_inputs(skeleton):
