@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -84,10 +85,9 @@ def _cmd_filter(args):
     if args.response:
         n_fft = emg_dsp.filter_fft_length(episode.emg.n_samples)
         mask = emg_dsp.build_filter_mask(n_fft, episode.emg.sample_rate)
-        half = n_fft // 2 + 1
         with open(args.response, "w") as f:
             f.write("frequency_hz,gain\n")
-            for freq, gain in zip(mask.frequencies_hz[:half], mask.gains[:half]):
+            for freq, gain in zip(mask.frequencies_hz, mask.gains):
                 f.write(f"{freq:.6f},{gain:.9f}\n")
         print(f"wrote {args.response}")
 
@@ -287,7 +287,9 @@ def _cmd_info(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The one parser of the process; each parse_args gives a fresh Namespace."""
     parser = _ArgumentParser(prog="handemg")
     parser.add_argument("--version", action="version",
                         version=f"handemg {__version__} (format {FORMAT_VERSION})")

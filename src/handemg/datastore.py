@@ -152,23 +152,18 @@ def extract_windows(episode: Episode, length: int = WINDOW_SAMPLES,
         warnings.warn(f"episode of {total} samples is shorter than the "
                       f"{length}-sample window; no windows extracted")
         return []
-    frame_idx = feature_frame_indices(length)
     center = length // 2
+    sample_idx = np.append(feature_frame_indices(length), center)   # frames, then centre
+    poses = np.stack([episode.pose_left, episode.pose_right], axis=1)   # (P, 2, 22)
     windows = []
     for offset in range(0, total - length + 1, stride):
-        times = episode.emg_timestamps_ms[offset + frame_idx]
-        left = resample_to_timeline(episode.pose_timestamps_ms, episode.pose_left, times)
-        right = resample_to_timeline(episode.pose_timestamps_ms, episode.pose_right, times)
-        center_t = episode.emg_timestamps_ms[offset + center]
-        center_left = resample_to_timeline(
-            episode.pose_timestamps_ms, episode.pose_left, np.array([center_t]))[0]
-        center_right = resample_to_timeline(
-            episode.pose_timestamps_ms, episode.pose_right, np.array([center_t]))[0]
+        times = episode.emg_timestamps_ms[offset + sample_idx]
+        at = resample_to_timeline(episode.pose_timestamps_ms, poses, times)
         windows.append(WindowSample(
             emg=replace(episode.emg, samples=episode.emg.samples[offset:offset + length]),
-            offset=offset, center_index=center, frame_timestamps_ms=times,
-            pose_frames_left=left, pose_frames_right=right,
-            center_pose_left=center_left, center_pose_right=center_right))
+            offset=offset, center_index=center, frame_timestamps_ms=times[:-1],
+            pose_frames_left=at[:-1, 0], pose_frames_right=at[:-1, 1],
+            center_pose_left=at[-1, 0], center_pose_right=at[-1, 1]))
     return windows
 
 
@@ -306,23 +301,23 @@ def _is_count(value) -> bool:
 
 def write_blocks(path, meta: dict, arrays: dict) -> None:
     """Write named arrays plus JSON metadata in the EGL1 layout."""
-    blocks = []
-    payload = bytearray()
+    blocks, buffers, offset = [], [], 0
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        code = "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8"
-        raw = arr.astype(_DTYPES[code]).tobytes()
+        code = "<i8" if np.issubdtype(np.asarray(arr).dtype, np.integer) else "<f8"
+        buf = np.ascontiguousarray(arr, dtype=_DTYPES[code])
         blocks.append({"name": name, "kind": "array", "dtype": code,
-                       "shape": list(arr.shape), "offset": len(payload),
-                       "crc32": zlib.crc32(raw)})
-        payload += raw
+                       "shape": list(buf.shape), "offset": offset,
+                       "crc32": zlib.crc32(buf)})
+        buffers.append(buf)
+        offset += buf.nbytes
     manifest = json.dumps({"format": "EGL1", "version": 1, "meta": meta,
                            "blocks": blocks}).encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(manifest)))
         f.write(manifest)
-        f.write(bytes(payload))
+        for buf in buffers:
+            f.write(buf)
 
 
 def read_blocks(path):
@@ -351,7 +346,7 @@ def read_blocks(path):
     if not isinstance(blocks, list) or not all(isinstance(b, dict) for b in blocks):
         raise DataFormatError("bad-manifest", "blocks must be a list of objects")
     arrays = {}
-    payload = data[manifest_end:]
+    payload = memoryview(data)[manifest_end:]   # block slices share the file's bytes
     for block in blocks:
         if block.get("kind") != "array":
             warnings.warn(f"skipping unknown block kind {block.get('kind')!r} "
@@ -418,21 +413,21 @@ def read_episode(path) -> Episode:
                  "pose_left", "pose_right"):
         if name not in arrays:
             raise DataFormatError("bad-manifest", f"missing block {name}")
+    calibration = None
     try:
         participant_id = int(meta["participant_id"])
         gesture_label = meta["gesture_label"]
         sample_rate = float(meta["sample_rate"])
         if "calibration" in arrays:
-            width, height = (int(n) for n in meta["calibration_resolution"])
+            # PinholeCamera rejects a non-integer resolution and a bad matrix
+            width, height = meta["calibration_resolution"]
+            flat = arrays["calibration"]
+            calibration = PinholeCamera(intrinsics=flat[:9].reshape(3, 3),
+                                        rotation=flat[9:18].reshape(3, 3),
+                                        translation=flat[18:21],
+                                        width=width, height=height)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError("bad-manifest", f"episode meta field {exc}") from exc
-    calibration = None
-    if "calibration" in arrays:
-        flat = arrays["calibration"]
-        calibration = PinholeCamera(intrinsics=flat[:9].reshape(3, 3),
-                                    rotation=flat[9:18].reshape(3, 3),
-                                    translation=flat[18:21],
-                                    width=width, height=height)
     return Episode(
         participant_id=participant_id,
         gesture_label=gesture_label,

@@ -1,9 +1,11 @@
 """Frequency-domain EMG filtering.
 
-The filter is a single real-valued FFT mask per channel: DC removal, narrow
-notches at the 50 Hz power-line frequency and its first harmonic at 100 Hz,
-a broadband 20--850 Hz bandpass with raised-cosine edges, and a hard cutoff
-above 900 Hz. Values stay in mV throughout; no amplitude normalization.
+The filter is a real FFT of each channel, one gain per non-negative frequency
+bin (the half spectrum), and the inverse real FFT, so its output is real by
+construction. The gains give DC removal, narrow notches at the 50 Hz
+power-line frequency and its first harmonic at 100 Hz, a broadband 20--850 Hz
+bandpass with raised-cosine edges, and a hard cutoff above 900 Hz. Values
+stay in mV throughout; no amplitude normalization.
 
 Mask shape conventions (widths are our declared convention, configurable at
 the call sites that need something else):
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, HandEmgError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError
 
 N_CHANNELS = 16          # 8 per wrist; left = 0-7, right = 8-15
 DEFAULT_SAMPLE_RATE = 2000.0
@@ -36,9 +38,6 @@ _NOTCH_SHOULDER_HZ = 3.0
 _BAND_RISE_HZ = (17.0, 23.0)
 _BAND_FALL_HZ = (847.0, 900.0)
 _FILTER_PAD_MIN = 4096
-# with a symmetric mask the imaginary part is FFT roundoff, which scales with
-# the signal, so its bound is relative to the window's peak amplitude
-_MAX_IMAG_RESIDUE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,29 +70,28 @@ class EmgWindow:
 
 @dataclass(frozen=True)
 class FilterMask:
-    """Per-FFT-bin gains in [0, 1], symmetric across the Nyquist bin."""
+    """Read-only gains in [0, 1] on the n_fft // 2 + 1 non-negative bins of a
+    real FFT of length n_fft."""
 
     gains: np.ndarray
     n_fft: int
     sample_rate: float
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.shape != (self.n_fft,):
-            raise InvalidInputError("gains must have shape (n_fft,)")
+        gains = np.array(self.gains, dtype=float)
+        if gains.shape != (self.n_fft // 2 + 1,):
+            raise InvalidInputError("gains must have shape (n_fft // 2 + 1,)")
         if gains.min() < 0.0 or gains.max() > 1.0:
             raise InvalidInputError("gains must lie in [0, 1]")
         if gains[0] != 0.0:
             raise InvalidInputError("DC gain must be 0")
-        if not np.array_equal(gains[1:], gains[1:][::-1]):
-            raise InvalidInputError("gains must be symmetric across Nyquist")
+        gains.flags.writeable = False   # build_filter_mask shares one instance
         object.__setattr__(self, "gains", gains)
 
     @property
     def frequencies_hz(self) -> np.ndarray:
-        """Signed-folded bin frequencies: bin k maps to min(k, n-k) * df."""
-        k = np.arange(self.n_fft)
-        return np.minimum(k, self.n_fft - k) * (self.sample_rate / self.n_fft)
+        """Bin frequencies: bin k maps to k * df."""
+        return np.arange(self.n_fft // 2 + 1) * (self.sample_rate / self.n_fft)
 
 
 def _cosine_rise(f, f0, f1):
@@ -128,8 +126,7 @@ def build_filter_mask(n_fft: int, sample_rate: float = DEFAULT_SAMPLE_RATE) -> F
         raise ConfigurationError(
             f"bin spacing {spacing:.2f} Hz cannot resolve the +-1 Hz notches; "
             f"increase n_fft")
-    k = np.arange(n_fft)
-    freqs = np.minimum(k, n_fft - k) * spacing
+    freqs = np.arange(n_fft // 2 + 1) * spacing
     return FilterMask(gains=mask_gain(freqs), n_fft=n_fft, sample_rate=sample_rate)
 
 
@@ -154,9 +151,6 @@ def filter_emg(window: EmgWindow) -> EmgWindow:
     n_fft = filter_fft_length(n)
     mask = build_filter_mask(n_fft, window.sample_rate)
     x = window.samples - window.samples.mean(axis=0, keepdims=True)
-    spectrum = np.fft.fft(x, n=n_fft, axis=0) * mask.gains[:, None]
-    y = np.fft.ifft(spectrum, axis=0)[:n]
-    residue = np.abs(y.imag).max()
-    if residue > _MAX_IMAG_RESIDUE * np.abs(x).max():
-        raise HandEmgError(f"imaginary residue {residue:.3g} after symmetric mask")
-    return replace(window, samples=y.real.copy(), kind="filtered")
+    spectrum = np.fft.rfft(x, n=n_fft, axis=0) * mask.gains[:, None]
+    y = np.fft.irfft(spectrum, n=n_fft, axis=0)[:n]
+    return replace(window, samples=y, kind="filtered")

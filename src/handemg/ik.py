@@ -196,23 +196,18 @@ def _strong_wolfe_search(objective, x, f0, g0, d, alpha_init, budget, trace):
         phi, dphi = f, float(g @ d)
         cur = (alpha, phi, dphi, f, g, xa)
         if phi > phi0 + c1 * alpha * dphi0 or (attempt > 0 and phi >= prev[1]):
-            res = _zoom(objective, x, d, phi0, dphi0, prev, cur, c1, c2,
-                        budget - used, trace)
-            if res is None:
-                return None
-            a, f, g, xa, ok = res
-            return (xa, f, g, ok) if f < phi0 else None
-        if abs(dphi) <= -c2 * dphi0:
+            lo, hi = prev, cur
+        elif abs(dphi) <= -c2 * dphi0:
             return xa, f, g, True
-        if dphi >= 0:
-            res = _zoom(objective, x, d, phi0, dphi0, cur, prev, c1, c2,
-                        budget - used, trace)
-            if res is None:
-                return None
-            a, f, g, xa, ok = res
-            return (xa, f, g, ok) if f < phi0 else None
-        prev = cur
-        alpha *= 2.0
+        elif dphi >= 0:
+            lo, hi = cur, prev
+        else:
+            prev = cur
+            alpha *= 2.0
+            continue
+        _, f, g, xa, ok = _zoom(objective, x, d, phi0, dphi0, lo, hi, c1, c2,
+                                budget - used, trace)
+        return (xa, f, g, ok) if f < phi0 else None
     # bracketing exhausted: accept the last sufficient-decrease point if any
     if prev[0] > 0.0 and prev[1] < phi0:
         return prev[5], prev[3], prev[4], False

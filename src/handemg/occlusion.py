@@ -28,7 +28,7 @@ gathers every vertex's window at once.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class TriangleMesh:
 
     vertices: np.ndarray    # (N, 3)
     triangles: np.ndarray   # (M, 3) int
+    areas: np.ndarray = field(init=False, compare=False)   # (M,) mm^2, read-only
 
     def __post_init__(self):
         vertices = np.asarray(self.vertices, dtype=float)
@@ -61,13 +62,14 @@ class TriangleMesh:
             raise InvalidInputError("vertices must be finite")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise InvalidInputError("triangle index out of range")
-        if triangles.size:
-            areas = triangle_areas(vertices, triangles)
-            if areas.min() < _MIN_TRIANGLE_AREA_MM2:
-                raise InvalidInputError(
-                    f"degenerate triangle with area {areas.min():.3g} mm^2")
+        areas = triangle_areas(vertices, triangles)
+        if triangles.size and areas.min() < _MIN_TRIANGLE_AREA_MM2:
+            raise InvalidInputError(
+                f"degenerate triangle with area {areas.min():.3g} mm^2")
+        areas.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "areas", areas)
 
 
 @dataclass(frozen=True)
@@ -242,11 +244,9 @@ def self_occlusion_score(mesh: TriangleMesh, camera: PinholeCamera,
                          epsilon_mm: float = EPSILON_MM,
                          neighborhood: int = NEIGHBORHOOD) -> OcclusionReport:
     """Area-weighted fraction of hidden vertices; deterministic."""
-    areas = triangle_areas(mesh.vertices, mesh.triangles) if len(mesh.triangles) \
-        else np.zeros(0)
     weights = np.zeros(len(mesh.vertices))
     for corner in range(3):
-        np.add.at(weights, mesh.triangles[:, corner], areas / 3.0)
+        np.add.at(weights, mesh.triangles[:, corner], mesh.areas / 3.0)
     total = weights.sum()
     if total <= 0.0:
         raise DegenerateGeometryError("mesh has zero surface area; s_occ undefined")

@@ -32,6 +32,18 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = _run(capsys, "split", "--seed", "5")
+    assert code == 0 and '"seed": 5' in err
+    code, _, err = _run(capsys, "split")
+    assert code == 0 and '"seed": 0' in err
+    code, _, _ = _run(capsys, "split", "--bogus")
+    assert code == 1
+    code, _, _ = _run(capsys, "split")
+    assert code == 0
+
+
 def test_data_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.egl"
     bad.write_bytes(b"NOPE1234")

@@ -1,12 +1,15 @@
 import dataclasses
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from handemg import datastore as ds
+from handemg import cli, datastore as ds
 from handemg.emg_dsp import EmgWindow
 from handemg.errors import DataFormatError, InvalidInputError
+from handemg.occlusion import PinholeCamera
 
 
 def test_gesture_vocabulary():
@@ -55,6 +58,39 @@ def test_blocks_roundtrip_bit_exact(tmp_path):
     for name, arr in arrays.items():
         assert np.array_equal(back[name], arr)
     assert back["b"].dtype == np.dtype("<i8")
+
+
+def _egl1_image(meta, arrays):
+    """The EGL1 bytes of docs/FORMAT.md, built block by block."""
+    blocks, payload = [], b""
+    for name, arr in arrays.items():
+        code = "<i8" if arr.dtype.kind in "iu" else "<f8"
+        raw = arr.astype(code).tobytes()
+        blocks.append({"name": name, "kind": "array", "dtype": code,
+                       "shape": list(arr.shape), "offset": len(payload),
+                       "crc32": zlib.crc32(raw)})
+        payload += raw
+    manifest = json.dumps({"format": "EGL1", "version": 1, "meta": meta,
+                           "blocks": blocks}).encode()
+    return b"EGL1" + struct.pack("<I", len(manifest)) + manifest + payload
+
+
+def test_write_blocks_matches_hand_built_image(tmp_path):
+    rng = np.random.default_rng(3)
+    arrays = {"strided": rng.normal(size=(6, 8))[:, ::3],
+              "transposed": rng.normal(size=(4, 5)).T,
+              "big_endian": rng.normal(size=(3, 2)).astype(">f8"),
+              "int32": rng.integers(-9, 9, size=(2, 3)).astype(np.int32),
+              "bool": rng.normal(size=7) > 0,
+              "empty": np.zeros((0, 3))}
+    assert not arrays["strided"].flags.c_contiguous
+    path = tmp_path / "blob.egl"
+    ds.write_blocks(path, {"type": "misc"}, arrays)
+    assert path.read_bytes() == _egl1_image({"type": "misc"}, arrays)
+    _, back = ds.read_blocks(path)
+    for name, arr in arrays.items():
+        assert np.array_equal(back[name], arr)
+        assert not back[name].flags.writeable
 
 
 def test_episode_roundtrip_identity(tmp_path):
@@ -149,6 +185,36 @@ def test_extract_windows_layout():
     assert [w.offset for w in strided] == [0, 1947, 3894, 5841, 7788]
 
 
+def _windows_per_hand(episode, length, stride):
+    """extract_windows by one resample per hand and per target set."""
+    idx = ds.feature_frame_indices(length)
+    pose_t = episode.pose_timestamps_ms
+    out = []
+    for offset in range(0, episode.emg.n_samples - length + 1, stride):
+        times = episode.emg_timestamps_ms[offset + idx]
+        centre = np.array([episode.emg_timestamps_ms[offset + length // 2]])
+        out.append((times,
+                    ds.resample_to_timeline(pose_t, episode.pose_left, times),
+                    ds.resample_to_timeline(pose_t, episode.pose_right, times),
+                    ds.resample_to_timeline(pose_t, episode.pose_left, centre)[0],
+                    ds.resample_to_timeline(pose_t, episode.pose_right, centre)[0]))
+    return out
+
+
+@pytest.mark.parametrize("seed, stride", [(0, None), (1, 1947), (2, 613), (3, 7790)])
+def test_extract_windows_match_per_hand_resampling(seed, stride):
+    ep = ds.synth_episode(seed=seed, duration_s=6.0 + seed)
+    windows = ds.extract_windows(ep, stride=stride)
+    expect = _windows_per_hand(ep, ds.WINDOW_SAMPLES, stride or ds.WINDOW_SAMPLES)
+    assert len(windows) == len(expect) > 0
+    for w, (times, left, right, c_left, c_right) in zip(windows, expect):
+        assert np.array_equal(w.frame_timestamps_ms, times)
+        assert np.array_equal(w.pose_frames_left, left)
+        assert np.array_equal(w.pose_frames_right, right)
+        assert np.array_equal(w.center_pose_left, c_left)
+        assert np.array_equal(w.center_pose_right, c_right)
+
+
 def test_extract_windows_too_short_warns():
     ep = ds.synth_episode(seed=3, duration_s=4.0)
     ep = dataclasses.replace(
@@ -222,3 +288,36 @@ def test_episode_validation():
         dataclasses.replace(ep, emg_timestamps_ms=bad_t)
     with pytest.raises(InvalidInputError):
         dataclasses.replace(ep, pose_left=ep.pose_left[:, :21])
+
+
+def _calibrated_episode_file(path, resolution=(64, 48), fx=500.0):
+    """An episode file whose calibration meta and block are written as given."""
+    camera = PinholeCamera(intrinsics=[[500.0, 0, 32], [0, 500.0, 24], [0, 0, 1]],
+                           rotation=np.eye(3), translation=np.zeros(3),
+                           width=64, height=48)
+    ds.write_episode(dataclasses.replace(ds.synth_episode(seed=0, duration_s=4.0),
+                                         calibration=camera), path)
+    meta, arrays = ds.read_blocks(path)
+    arrays = {name: np.array(arr) for name, arr in arrays.items()}
+    arrays["calibration"][0] = fx
+    ds.write_blocks(path, {**meta, "calibration_resolution": list(resolution)}, arrays)
+    return path
+
+
+def test_calibration_roundtrip(tmp_path):
+    back = ds.read_episode(_calibrated_episode_file(tmp_path / "ep.egl"))
+    assert (back.calibration.width, back.calibration.height) == (64, 48)
+    assert back.calibration.intrinsics[0, 0] == 500.0
+
+
+@pytest.mark.parametrize("edit", [{"resolution": (64.7, 48.9)}, {"resolution": (64,)},
+                                  {"fx": np.nan}],
+                         ids=["resolution-float", "resolution-one-value", "fx-nan"])
+def test_bad_calibration_is_bad_manifest(capsys, tmp_path, edit):
+    path = _calibrated_episode_file(tmp_path / "ep.egl", **edit)
+    with pytest.raises(DataFormatError) as err:
+        ds.read_episode(path)
+    assert err.value.kind == "bad-manifest"
+    code = cli.run(["featurize", str(path), "--out", str(tmp_path / "f.egl")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.splitlines()[-1].startswith("error: bad-manifest:")

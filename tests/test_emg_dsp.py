@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,11 +29,65 @@ def _rms(x):
 
 def test_mask_shape_and_symmetry():
     mask = emg_dsp.build_filter_mask(N, FS)
-    assert mask.gains.shape == (N,)
+    assert mask.gains.shape == (N // 2 + 1,)
     assert mask.gains[0] == 0.0
     assert mask.gains.min() >= 0.0 and mask.gains.max() <= 1.0
-    # real-filter constraint: gains symmetric around Nyquist
-    assert np.abs(mask.gains[1:] - mask.gains[1:][::-1]).max() < 1e-12
+
+
+def test_cached_mask_is_read_only():
+    """Every caller shares the cached mask, so no caller may change it."""
+    mask = emg_dsp.build_filter_mask(N, FS)
+    assert mask.gains[600] == 1.0                # 300 Hz, in the passband
+    with pytest.raises(ValueError):
+        mask.gains[600] = 0.0
+    assert emg_dsp.build_filter_mask(N, FS).gains[600] == 1.0
+
+
+def _full_spectrum_filter(samples, fs):
+    """The filter by its definition: a complex FFT, the gain of each bin's
+    folded frequency min(k, n - k) * df, and the real part of the inverse."""
+    n = samples.shape[0]
+    n_fft = emg_dsp.filter_fft_length(n)
+    k = np.arange(n_fft)
+    gains = emg_dsp.mask_gain(np.minimum(k, n_fft - k) * (fs / n_fft))
+    x = samples - samples.mean(axis=0, keepdims=True)
+    y = np.fft.ifft(np.fft.fft(x, n=n_fft, axis=0) * gains[:, None], axis=0)[:n]
+    assert np.abs(y.imag).max() <= 1e-9 * np.abs(y.real).max()
+    return y.real
+
+
+@pytest.mark.parametrize("n, fs", [(4096, 2048.0), (4097, 2000.0), (7790, 2000.0),
+                                   (16000, 2000.0)])
+def test_filter_matches_full_spectrum_definition(n, fs):
+    samples = np.random.default_rng(n).normal(size=(n, emg_dsp.N_CHANNELS))
+    samples += 0.5 * np.sin(2 * np.pi * 50.0 * np.arange(n) / fs)[:, None]
+    ref = _full_spectrum_filter(samples, fs)
+    out = emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=samples, sample_rate=fs))
+    assert out.samples.shape == (n, emg_dsp.N_CHANNELS)
+    assert np.abs(out.samples - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_FILTER_CHILD = """
+import sys
+import numpy as np
+from handemg import emg_dsp
+window = emg_dsp.EmgWindow(samples=np.random.default_rng(3).normal(size=(16000, 16)))
+sys.stdout.buffer.write(emg_dsp.filter_emg(window).samples.tobytes())
+"""
+
+
+def test_filter_bit_identical_across_blas_threads():
+    """The thread count is set in each child's environment only."""
+    path = [str(Path(emg_dsp.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        child = subprocess.run([sys.executable, "-c", _FILTER_CHILD], env=env,
+                               capture_output=True, check=True, timeout=300)
+        outputs.append(child.stdout)
+    assert len(outputs[0]) == 16000 * emg_dsp.N_CHANNELS * 8
+    assert outputs[0] == outputs[1]
 
 
 def test_mask_band_structure():
@@ -78,7 +137,7 @@ def test_linearity():
 
 
 def test_large_amplitude_filters_cleanly():
-    """FFT roundoff grows with amplitude; the residue check scales with it."""
+    """FFT roundoff grows with amplitude; the filter stays linear at 1e8 mV."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3000, emg_dsp.N_CHANNELS))
     big = emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=1e8 * x)).samples

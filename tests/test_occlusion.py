@@ -345,3 +345,13 @@ def test_vertex_visibility_matches_vertex_loop(neighborhood):
     expect = _loop_vertex_visibility(mesh, camera, buffer, neighborhood=neighborhood)
     assert np.array_equal(got, expect)
     assert 0 < got.sum() < len(got)
+
+
+def test_mesh_keeps_its_triangle_areas():
+    mesh = _two_triangle_scene()
+    assert np.array_equal(mesh.areas, occ.triangle_areas(mesh.vertices, mesh.triangles))
+    assert not mesh.areas.flags.writeable
+    empty = occ.TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
+    assert empty.areas.shape == (0,)
+    with pytest.raises(DegenerateGeometryError):
+        occ.self_occlusion_score(empty, _camera())
