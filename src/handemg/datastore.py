@@ -345,7 +345,7 @@ def read_blocks(path):
         raise DataFormatError("bad-manifest", "missing or non-object meta field")
     if not isinstance(blocks, list) or not all(isinstance(b, dict) for b in blocks):
         raise DataFormatError("bad-manifest", "blocks must be a list of objects")
-    arrays = {}
+    arrays, extents = {}, []
     payload = memoryview(data)[manifest_end:]   # block slices share the file's bytes
     for block in blocks:
         if block.get("kind") != "array":
@@ -380,6 +380,12 @@ def read_blocks(path):
         if zlib.crc32(raw) != block["crc32"]:
             raise DataFormatError("checksum", f"block {name} is corrupt")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        if end > start:         # an empty block overlaps nothing
+            extents.append((start, end, name))
+    extents.sort()
+    for (_, prev_end, prev), (start, _, name) in zip(extents, extents[1:]):
+        if start < prev_end:
+            raise DataFormatError("bad-manifest", f"blocks {prev} and {name} overlap")
     return meta, arrays
 
 
@@ -426,17 +432,20 @@ def read_episode(path) -> Episode:
                                         rotation=flat[9:18].reshape(3, 3),
                                         translation=flat[18:21],
                                         width=width, height=height)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError("bad-manifest", f"episode meta field {exc}") from exc
-    return Episode(
-        participant_id=participant_id,
-        gesture_label=gesture_label,
-        emg=EmgWindow(samples=arrays["emg_samples"],
-                      sample_rate=sample_rate,
-                      kind=meta.get("emg_kind", "raw")),
-        emg_timestamps_ms=arrays["emg_timestamps_ms"],
-        pose_timestamps_ms=arrays["pose_timestamps_ms"],
-        pose_left=arrays["pose_left"], pose_right=arrays["pose_right"],
-        markers=arrays.get("markers"),
-        marker_timestamps_ms=arrays.get("marker_timestamps_ms"),
-        calibration=calibration)
+        # Episode rejects blocks of the wrong shape and unknown labels
+        return Episode(
+            participant_id=participant_id,
+            gesture_label=gesture_label,
+            emg=EmgWindow(samples=arrays["emg_samples"],
+                          sample_rate=sample_rate,
+                          kind=meta.get("emg_kind", "raw")),
+            emg_timestamps_ms=arrays["emg_timestamps_ms"],
+            pose_timestamps_ms=arrays["pose_timestamps_ms"],
+            pose_left=arrays["pose_left"], pose_right=arrays["pose_right"],
+            markers=arrays.get("markers"),
+            marker_timestamps_ms=arrays.get("marker_timestamps_ms"),
+            calibration=calibration)
+    except KeyError as exc:
+        raise DataFormatError("bad-manifest", f"episode meta lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError("bad-manifest", f"invalid episode: {exc}") from exc

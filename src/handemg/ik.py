@@ -1,13 +1,19 @@
 """Joint-angle recovery from target landmarks.
 
-The 22 angles are optimized in an unconstrained space z through a sigmoid box
+The 22 angles are fitted in an unconstrained space z through a sigmoid box
 reparameterization a = a_min + (a_max - a_min) * sigmoid(z), so every iterate
-stays strictly inside the joint limits. The objective is the mean squared
-landmark distance (mm^2) between forward kinematics output and the targets,
-minimized with L-BFGS using a strong Wolfe line search.
+stays strictly inside the joint limits. The fit is a least-squares problem:
+60 landmark coordinate residuals FK(a(z)) - targets (mm) over 22 unknowns,
+zero at the solution for clean targets. `fit_joint_angles` solves it with
+Levenberg-Marquardt on the analytic FK Jacobian, which converges
+quadratically near a zero-residual solution.
 
-"Inner iterations" counts objective evaluations spent inside one line search;
-"outer steps" counts accepted L-BFGS updates.
+`lbfgs_minimize` is a general minimizer of any (loss, gradient) objective:
+L-BFGS with a strong Wolfe line search, configured by `IkConfig`.
+`ik_loss_and_gradient` is the IK objective (mean squared landmark distance,
+mm^2) in that form. In an L-BFGS trace, "inner iterations" counts objective
+evaluations spent inside one line search and "outer steps" counts accepted
+updates.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .hand_model import (
     HandSkeleton,
     JointAngles22,
     LandmarkSet,
-    forward_kinematics,
+    forward_kinematics,  # unused here; benchmark/tests read ik.forward_kinematics
     landmark_jacobian,
 )
 
@@ -46,10 +52,8 @@ class IkConfig:
     learning_rate: float = 0.1
     history_size: int = 10
     gradient_tolerance: float = 1e-8
-    # stop once the objective is at least this good (mm^2 for landmark fits;
-    # ~0.22 mm RMS). The tail of the IK landscape converges only linearly, so
-    # without a loss floor every solve burns the full outer budget. Set to 0
-    # to disable and run to the gradient/stall criteria.
+    # stop once the objective is at or below this value; 0 disables the
+    # floor and runs to the gradient/stall criteria
     loss_tolerance: float = 0.05
 
     def __post_init__(self):
@@ -68,7 +72,7 @@ class IkResult:
     residual_mse: float                 # mm^2, mean of squared landmark distances
     per_landmark_error: np.ndarray      # (20,) mm
     converged: bool
-    iterations_used: int
+    iterations_used: int                # Levenberg-Marquardt steps tried, all starts
 
 
 @dataclass(frozen=True)
@@ -300,6 +304,57 @@ _ACCEPT_MSE = 0.2
 _N_PERTURBED_RESTARTS = 4
 _RESTART_SIGMA = 0.75
 
+# Levenberg-Marquardt per start: initial damping relative to diag(J^T J),
+# the step budget, the mean squared landmark error (mm^2, 1e-8 mm RMS) that
+# counts as an exact fit, and the relative decrease of an accepted step below
+# which the solve has stalled in a local minimum
+_LM_DAMPING = 1e-4
+_LM_MAX_STEPS = 50
+_LM_EXACT_MSE = 1e-16
+_LM_STALL = 1e-6
+
+
+def _lm_solve(z0, targets: LandmarkSet, skeleton: HandSkeleton):
+    """Levenberg-Marquardt on the landmark residuals FK(a(z)) - targets.
+
+    Each step solves (J^T J + lam diag(J^T J)) dz = -J^T r with J the (60, 22)
+    z-space Jacobian. An accepted step (lower squared error) divides lam by 3,
+    a rejected one multiplies it by 4. Returns (z, points, mse, converged,
+    steps): `points` are the landmarks of the returned z, and `steps` counts
+    the steps tried, accepted or not.
+    """
+    limits = skeleton.limits
+    lo, span = limits[:, 0], limits[:, 1] - limits[:, 0]
+
+    def evaluate(z):
+        s = _sigmoid(z)
+        points, jac = landmark_jacobian(skeleton, JointAngles22(lo + span * s))
+        residual = (points - targets.points).ravel()
+        jac_z = jac.reshape(N_LANDMARKS * 3, N_DOF) * (span * s * (1.0 - s))
+        return points, residual, float(residual @ residual), jac_z
+
+    exact_cost = _LM_EXACT_MSE * N_LANDMARKS
+    z = np.asarray(z0, dtype=float)
+    points, residual, cost, jac = evaluate(z)
+    damping = _LM_DAMPING
+    converged = cost <= exact_cost
+    steps = 0
+    while not converged and steps < _LM_MAX_STEPS:
+        jtj = jac.T @ jac
+        # floored so that a DoF moving no landmark still gets damped
+        scale = np.diag(jtj)
+        scale = np.maximum(scale, 1e-12 * scale.max())
+        z_new = z + np.linalg.solve(jtj + np.diag(damping * scale), -(jac.T @ residual))
+        steps += 1
+        points_new, residual_new, cost_new, jac_new = evaluate(z_new)
+        if not cost_new < cost:
+            damping *= 4.0
+            continue
+        converged = cost_new <= exact_cost or cost - cost_new <= _LM_STALL * cost
+        z, points, residual, cost, jac = z_new, points_new, residual_new, cost_new, jac_new
+        damping /= 3.0
+    return z, points, cost / N_LANDMARKS, converged, steps
+
 
 def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.ndarray:
     """Mid-range pose with the wrist set by rotation-only Procrustes.
@@ -330,7 +385,6 @@ def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.nda
 
 
 def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
-                     config: IkConfig = IkConfig(),
                      warm_start: JointAngles22 | None = None,
                      alignment: SimilarityTransform | None = None,
                      handedness: str = "right") -> IkResult:
@@ -360,22 +414,19 @@ def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
     candidates += [z_aligned + restart_rng.normal(size=N_DOF) * _RESTART_SIGMA
                    for _ in range(_N_PERTURBED_RESTARTS)]
 
-    def objective(z):
-        return ik_loss_and_gradient(z, targets, skeleton)
-
     best = None
     iterations_total = 0
     for z0 in candidates:
-        z_star, trace = lbfgs_minimize(objective, z0, config)
-        iterations_total += trace.outer_steps
-        if best is None or trace.final_loss < best[1]:
-            best = (z_star, trace.final_loss, trace.converged)
-        if best[1] <= _ACCEPT_MSE:
+        z, points, mse, converged, steps = _lm_solve(z0, targets, skeleton)
+        iterations_total += steps
+        if best is None or mse < best[2]:
+            best = (z, points, mse, converged)
+        if best[2] <= _ACCEPT_MSE:
             break
 
-    z_star, _, converged = best
+    z_star, points, _, converged = best
     angles = JointAngles22(sigmoid_reparam(z_star, limits), handedness=handedness)
-    points = forward_kinematics(skeleton, angles).points
+    # `points` are bit-identical to forward_kinematics(skeleton, angles).points
     per_landmark = np.linalg.norm(points - targets.points, axis=1)
     return IkResult(angles=angles,
                     residual_mse=float(np.mean(per_landmark ** 2)),
@@ -385,7 +436,6 @@ def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
 
 
 def fit_batch(target_sequences, skeleton: HandSkeleton,
-              config: IkConfig = IkConfig(),
               alignment: SimilarityTransform | None = None,
               handedness: str = "right"):
     """Fit a landmark sequence frame by frame, warm-starting each frame from
@@ -393,7 +443,7 @@ def fit_batch(target_sequences, skeleton: HandSkeleton,
     results = []
     warm = None
     for targets in target_sequences:
-        result = fit_joint_angles(targets, skeleton, config, warm_start=warm,
+        result = fit_joint_angles(targets, skeleton, warm_start=warm,
                                   alignment=alignment, handedness=handedness)
         results.append(result)
         warm = result.angles

@@ -75,7 +75,8 @@ def relu(x):
 
 def gelu(x):
     """Tanh-approximate GELU."""
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+    # x * x * x, not x ** 3: numpy evaluates the power through pow, ~7x slower
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
 
 
 def _sigmoid(x):

@@ -318,6 +318,12 @@ def _duplicate_block(manifest):
     return manifest
 
 
+def _alias_block(manifest):
+    """A second name for block 0's bytes: the CRC holds, the ranges overlap."""
+    manifest["blocks"].append(dict(manifest["blocks"][0], name="alias"))
+    return manifest
+
+
 def _set_block(key, value):
     def edit(manifest):
         manifest["blocks"][0][key] = value
@@ -346,9 +352,10 @@ _MISTYPED_BLOCK_FIELDS = {
     (_drop_block_crc, True),
     (_drop_participant, False),   # a valid EGL1 file, not a valid episode
     (_duplicate_block, True),
+    (_alias_block, True),
 ] + [(_set_block(*change), True) for change in _MISTYPED_BLOCK_FIELDS.values()],
     ids=["json-list", "no-blocks", "no-meta", "block-without-crc32",
-         "episode-without-participant_id", "duplicate-block-name",
+         "episode-without-participant_id", "duplicate-block-name", "overlapping-blocks",
          *_MISTYPED_BLOCK_FIELDS])
 def test_malformed_manifest_is_bad_manifest(capsys, tmp_path, edit, info_fails):
     path = tmp_path / "ep.egl"

@@ -321,3 +321,57 @@ def test_bad_calibration_is_bad_manifest(capsys, tmp_path, edit):
     code = cli.run(["featurize", str(path), "--out", str(tmp_path / "f.egl")])
     err = capsys.readouterr().err
     assert code == 2 and err.splitlines()[-1].startswith("error: bad-manifest:")
+
+
+def _invalid_pose_left(meta, arrays):
+    arrays["pose_left"] = arrays["pose_left"][:, :21]
+
+
+def _unknown_gesture(meta, arrays):
+    meta["gesture_label"] = "Nope"
+
+
+@pytest.mark.parametrize("edit", [_invalid_pose_left, _unknown_gesture],
+                         ids=["pose_left-21-columns", "gesture-Nope"])
+def test_invalid_episode_is_bad_manifest(capsys, tmp_path, edit):
+    """A valid EGL1 file whose blocks and meta do not form a valid Episode."""
+    path = tmp_path / "ep.egl"
+    ds.write_episode(ds.synth_episode(seed=0, duration_s=4.0), path)
+    meta, arrays = ds.read_blocks(path)
+    arrays = dict(arrays)
+    edit(meta, arrays)
+    ds.write_blocks(path, meta, arrays)
+    with pytest.raises(DataFormatError) as err:
+        ds.read_episode(path)
+    assert err.value.kind == "bad-manifest"
+    code = cli.run(["featurize", str(path), "--out", str(tmp_path / "f.egl")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.splitlines()[-1].startswith("error: bad-manifest:")
+
+
+def test_overlapping_blocks_are_bad_manifest(tmp_path):
+    """Block b starts inside block a; both CRCs hold."""
+    payload = np.arange(5, dtype="<f8").tobytes()
+    blocks = [{"name": name, "kind": "array", "dtype": "<f8", "shape": [3],
+               "offset": offset, "crc32": zlib.crc32(payload[offset:offset + 24])}
+              for name, offset in (("a", 0), ("b", 16))]
+    manifest = json.dumps({"format": "EGL1", "version": 1, "meta": {},
+                           "blocks": blocks}).encode()
+    path = tmp_path / "overlap.egl"
+    path.write_bytes(b"EGL1" + struct.pack("<I", len(manifest)) + manifest + payload)
+    with pytest.raises(DataFormatError) as err:
+        ds.read_blocks(path)
+    assert err.value.kind == "bad-manifest"
+    assert "overlap" in err.value.detail
+
+
+def test_empty_blocks_overlap_nothing(tmp_path):
+    """write_blocks gives a zero-length block the offset of the next block;
+    such files read back."""
+    arrays = {"first": np.zeros((0, 3)), "a": np.arange(4.0), "mid": np.zeros(0),
+              "mid2": np.zeros((2, 0)), "b": np.arange(3), "last": np.zeros(0)}
+    path = tmp_path / "empty.egl"
+    ds.write_blocks(path, {}, arrays)
+    _, back = ds.read_blocks(path)
+    for name, arr in arrays.items():
+        assert back[name].shape == arr.shape and np.array_equal(back[name], arr)

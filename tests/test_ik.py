@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_pose
 from handemg import ik
 from handemg.hand_model import (JointAngles22, LandmarkSet, forward_kinematics,
-                                N_DOF)
+                                landmark_positions, N_DOF)
 from handemg.errors import InvalidInputError
 
 
@@ -131,3 +136,77 @@ def test_config_validation():
         ik.IkConfig(loss_tolerance=-0.1)
     with pytest.raises(TypeError):
         ik.IkConfig(chunk_size=3)
+
+
+def _cut_sequence(skeleton, n_frames=24, cut=13):
+    """Landmarks of two seeded slow drifts joined by a hard cut at `cut`."""
+    rng = np.random.default_rng(11)
+    span = skeleton.limits[:, 1] - skeleton.limits[:, 0]
+    segments = []
+    for n in (cut, n_frames - cut):
+        drift = np.linspace(0.0, 0.1, n)[:, None] * span * rng.choice([-1.0, 1.0], N_DOF)
+        segments.append(random_pose(rng, skeleton, margin=0.25) + drift)
+    return landmark_positions(skeleton, np.concatenate(segments))
+
+
+_IK_CHILD = """
+import sys
+import numpy as np
+from handemg import ik
+from handemg.hand_model import LandmarkSet, default_skeleton
+targets = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 20, 3)
+for r in ik.fit_batch([LandmarkSet(t) for t in targets], default_skeleton()):
+    sys.stdout.buffer.write(r.angles.values.tobytes() + r.per_landmark_error.tobytes()
+                            + np.float64(r.residual_mse).tobytes())
+"""
+
+
+def test_fit_batch_bit_identical_across_blas_threads(skeleton):
+    """The thread count is set in each child's environment only."""
+    targets = _cut_sequence(skeleton)
+    path = [str(Path(ik.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        child = subprocess.run([sys.executable, "-c", _IK_CHILD], input=targets.tobytes(),
+                               env=env, capture_output=True, check=True, timeout=300)
+        outputs.append(child.stdout)
+    here = b"".join(r.angles.values.tobytes() + r.per_landmark_error.tobytes()
+                    + np.float64(r.residual_mse).tobytes()
+                    for r in ik.fit_batch([LandmarkSet(t) for t in targets], skeleton))
+    assert len(here) == len(targets) * (N_DOF + 20 + 1) * 8
+    assert outputs[0] == outputs[1] == here
+
+
+def test_fit_is_exact_on_clean_targets(skeleton):
+    """Levenberg-Marquardt drives clean targets to a (numerically) zero residual."""
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(20):
+        targets = LandmarkSet(forward_kinematics(
+            skeleton, JointAngles22(random_pose(rng, skeleton))).points)
+        result = ik.fit_joint_angles(targets, skeleton)
+        worst = max(worst, np.sqrt(result.residual_mse))
+        assert result.converged
+    results = ik.fit_batch([LandmarkSet(t) for t in _cut_sequence(skeleton)], skeleton)
+    worst = max([worst] + [np.sqrt(r.residual_mse) for r in results])
+    assert worst < 1e-6  # mm
+
+
+def test_per_landmark_error_is_the_fk_distance(skeleton):
+    """The reported errors are those of FK at the returned angles, bit for bit."""
+    targets = [LandmarkSet(t) for t in _cut_sequence(skeleton)]
+    for target, result in zip(targets, ik.fit_batch(targets, skeleton)):
+        fk = forward_kinematics(skeleton, result.angles).points
+        distance = np.linalg.norm(fk - target.points, axis=1)
+        assert np.array_equal(result.per_landmark_error, distance)
+        assert result.residual_mse == float(np.mean(distance ** 2))
+
+
+def test_fit_takes_no_config(skeleton):
+    targets = LandmarkSet(_cut_sequence(skeleton)[0])
+    with pytest.raises(TypeError):
+        ik.fit_joint_angles(targets, skeleton, config=ik.IkConfig())
+    with pytest.raises(TypeError):
+        ik.fit_batch([targets], skeleton, config=ik.IkConfig())

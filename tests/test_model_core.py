@@ -150,6 +150,15 @@ def test_too_short_input_message():
         mc.tds_featurize(_window(rng, 400), mc.init_featurizer_weights(0))
 
 
+def test_gelu_matches_power_definition():
+    """`gelu` cubes by multiplication; the x ** 3 form is the definition. The
+    bound is relative to the peak: deep in the negative tail the output is
+    1 + tanh ~ 1e-8, where any one-ulp change in the cube is amplified."""
+    x = np.random.default_rng(8).normal(scale=3.0, size=(146, 512))
+    ref = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+    assert np.abs(mc.gelu(x) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_rope_preserves_norm_and_relative_offsets():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 30, 64))
