@@ -14,6 +14,8 @@ field, and every applied perturbation is recorded for audit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,14 +35,33 @@ def _op_rng(seed: int, op_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _is_number(value) -> bool:
+    """A finite real number; a bool does not count."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_amount(name, value):
+    if not (_is_number(value) and value >= 0):
+        raise InvalidInputError(f"{name} must be a finite non-negative number, "
+                                f"got {value!r}")
+
+
+def _check_count(name, value):
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0):
+        raise InvalidInputError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def _check_prob(name, p):
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"{name} must be in [0, 1], got {p}")
+    if not (_is_number(p) and 0.0 <= p <= 1.0):
+        raise InvalidInputError(f"{name} must be in [0, 1], got {p!r}")
 
 
 def _check_range(name, r):
-    if len(r) != 2 or r[0] > r[1]:
-        raise InvalidInputError(f"{name} must be an ordered (lo, hi) pair, got {r}")
+    if not (isinstance(r, tuple) and len(r) == 2 and all(map(_is_number, r))
+            and r[0] <= r[1]):
+        raise InvalidInputError(f"{name} must be an ordered (lo, hi) pair, got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +77,9 @@ class EmgAugConfig:
         _check_prob("channel_dropout_p", self.channel_dropout_p)
         _check_prob("noise_p", self.noise_p)
         _check_range("noise_snr_db", self.noise_snr_db)
-        if self.n_freq_masks < 0 or self.max_mask_bins < 0 or self.jitter_ms < 0:
-            raise InvalidInputError("counts and jitter must be non-negative")
+        _check_count("n_freq_masks", self.n_freq_masks)
+        _check_count("max_mask_bins", self.max_mask_bins)
+        _check_amount("jitter_ms", self.jitter_ms)
 
 
 @dataclass(frozen=True)
@@ -83,11 +105,10 @@ class MarkerAugConfig:
         _check_range("global_scale", self.global_scale)
         _check_range("spike_scale", self.spike_scale)
         _check_prob("blend_self_weight", self.blend_self_weight)
-        if min(self.bone_scale_pct, self.swap_radius_mm, self.gaussian_sigma_mm,
-               self.drift_mm) < 0:
-            raise InvalidInputError("scales and radii must be non-negative")
-        if self.max_swaps < 0 or self.max_dropout < 0 or self.max_drift_markers < 0:
-            raise InvalidInputError("caps must be non-negative")
+        for name in ("bone_scale_pct", "swap_radius_mm", "gaussian_sigma_mm", "drift_mm"):
+            _check_amount(name, getattr(self, name))
+        for name in ("max_swaps", "max_dropout", "max_drift_markers"):
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from . import __version__, FORMAT_VERSION
 from . import augment, datastore, emg_dsp, evalkit, graph_features, ik
 from . import model_core, occlusion, wrist_geometry
 from .errors import DataFormatError, HandEmgError
-from .hand_model import JointAngles22, default_skeleton, forward_kinematics
+from .hand_model import (JointAngles22, LandmarkSet, default_skeleton,
+                         forward_kinematics)
 
 
 class _UsageError(Exception):
@@ -36,13 +37,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path):
+def _load_config(path, kind="bad-config"):
+    """The YAML mapping in `path`; a malformed file is a `kind` data error."""
     if path is None:
         return {}
-    with open(path) as f:
-        cfg = yaml.safe_load(f) or {}
+    # read as bytes, so that text that is not UTF-8 is a YAML error too
+    with open(path, "rb") as f:
+        try:
+            cfg = yaml.safe_load(f) or {}
+        except yaml.YAMLError as exc:
+            # one line: the YAML message spans several
+            raise DataFormatError(kind, f"{path}: {' '.join(str(exc).split())}") from None
     if not isinstance(cfg, dict):
-        raise DataFormatError("bad-config", f"{path} must hold a mapping")
+        raise DataFormatError(kind, f"{path} must hold a mapping")
     return cfg
 
 
@@ -50,9 +57,12 @@ def _dataclass_from_config(cls, overrides):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(overrides) - names
     if unknown:
-        raise DataFormatError("bad-config", f"unknown fields {sorted(unknown)}")
+        raise DataFormatError("bad-config", f"unknown fields {sorted(map(str, unknown))}")
     fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
-    return cls(**fixed)
+    try:
+        return cls(**fixed)
+    except (HandEmgError, TypeError, ValueError) as exc:
+        raise DataFormatError("bad-config", str(exc)) from exc
 
 
 def _echo_config(args):
@@ -147,7 +157,6 @@ def _cmd_ik(args):
     if "landmarks" not in arrays:
         raise DataFormatError("bad-manifest", "missing landmarks block")
     skeleton = default_skeleton()
-    from .hand_model import LandmarkSet
     results = ik.fit_batch([LandmarkSet(f) for f in arrays["landmarks"]], skeleton,
                            handedness=args.handedness)
     angles = np.stack([r.angles.values for r in results])
@@ -159,22 +168,26 @@ def _cmd_ik(args):
 
 
 def _read_mesh(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError:
+        raise DataFormatError("bad-mesh", f"{path}: not UTF-8 text") from None
     vertices, faces = [], []
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            try:
-                if parts[0] == "v" and len(parts) == 4:
-                    vertices.append([float(x) for x in parts[1:]])
-                elif parts[0] == "f" and len(parts) == 4:
-                    faces.append([int(x) for x in parts[1:]])   # 0-based indices
-                else:
-                    raise ValueError
-            except ValueError:
-                raise DataFormatError("bad-mesh", f"{path}:{line_no}: "
-                                      f"expected 'v x y z' or 'f i j k'") from None
+    for line_no, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if parts[0] == "v" and len(parts) == 4:
+                vertices.append([float(x) for x in parts[1:]])
+            elif parts[0] == "f" and len(parts) == 4:
+                faces.append([int(x) for x in parts[1:]])   # 0-based indices
+            else:
+                raise ValueError
+        except ValueError:
+            raise DataFormatError("bad-mesh", f"{path}:{line_no}: "
+                                  f"expected 'v x y z' or 'f i j k'") from None
     try:
         return occlusion.TriangleMesh(np.array(vertices), np.array(faces))
     except (ValueError, OverflowError) as exc:
@@ -182,7 +195,7 @@ def _read_mesh(path):
 
 
 def _read_camera(path):
-    cfg = _load_config(path)
+    cfg = _load_config(path, kind="bad-camera")
     try:
         k = np.array([[cfg["fx"], 0.0, cfg["cx"]],
                       [0.0, cfg["fy"], cfg["cy"]],

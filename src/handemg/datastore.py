@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import warnings
 import zlib
@@ -48,7 +49,6 @@ _ASYM_BIMANUAL = (
     "Beijing", "Checky", "PairClaw", "PairOK", "Picture", "PinchWring",
     "ThumbOppo")
 GESTURE_VOCABULARY = _SINGLE_HAND + _SYM_BIMANUAL + _ASYM_BIMANUAL
-assert len(GESTURE_VOCABULARY) == 60
 
 # full-roster held-out counts; scaled proportionally for smaller rosters
 _HELD_GESTURES_FULL, _N_GESTURES_FULL = 10, 60
@@ -74,6 +74,10 @@ class Episode:
     calibration: PinholeCamera | None = None
 
     def __post_init__(self):
+        if not isinstance(self.participant_id, numbers.Integral) or isinstance(
+                self.participant_id, bool):
+            raise InvalidInputError(
+                f"participant_id must be an integer, got {self.participant_id!r}")
         if self.gesture_label not in GESTURE_VOCABULARY:
             raise InvalidInputError(f"unknown gesture label {self.gesture_label!r}")
         emg_t = np.asarray(self.emg_timestamps_ms, dtype=float)
@@ -421,9 +425,7 @@ def read_episode(path) -> Episode:
             raise DataFormatError("bad-manifest", f"missing block {name}")
     calibration = None
     try:
-        participant_id = int(meta["participant_id"])
         gesture_label = meta["gesture_label"]
-        sample_rate = float(meta["sample_rate"])
         if "calibration" in arrays:
             # PinholeCamera rejects a non-integer resolution and a bad matrix
             width, height = meta["calibration_resolution"]
@@ -432,12 +434,14 @@ def read_episode(path) -> Episode:
                                         rotation=flat[9:18].reshape(3, 3),
                                         translation=flat[18:21],
                                         width=width, height=height)
-        # Episode rejects blocks of the wrong shape and unknown labels
+        # Episode rejects blocks of the wrong shape, unknown labels and a
+        # non-integer participant id; EmgWindow rejects a sample rate that is
+        # not a finite positive number
         return Episode(
-            participant_id=participant_id,
+            participant_id=meta["participant_id"],
             gesture_label=gesture_label,
             emg=EmgWindow(samples=arrays["emg_samples"],
-                          sample_rate=sample_rate,
+                          sample_rate=meta["sample_rate"],
                           kind=meta.get("emg_kind", "raw")),
             emg_timestamps_ms=arrays["emg_timestamps_ms"],
             pose_timestamps_ms=arrays["pose_timestamps_ms"],

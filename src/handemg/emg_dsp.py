@@ -7,8 +7,8 @@ power-line frequency and its first harmonic at 100 Hz, a broadband 20--850 Hz
 bandpass with raised-cosine edges, and a hard cutoff above 900 Hz. Values
 stay in mV throughout; no amplitude normalization.
 
-Mask shape conventions (widths are our declared convention, configurable at
-the call sites that need something else):
+Mask shape conventions (the widths are fixed module constants, not
+parameters):
 
 * notches: gain 0 within +-1 Hz of the notch center, raised-cosine shoulders
   out to +-3 Hz;
@@ -20,6 +20,8 @@ the call sites that need something else):
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,11 +55,15 @@ class EmgWindow:
         if samples.ndim != 2 or samples.shape[1] != N_CHANNELS:
             raise InvalidInputError(
                 f"expected (time, {N_CHANNELS}) samples, got {samples.shape}")
-        if self.sample_rate <= 0:
-            raise InvalidInputError("sample_rate must be positive")
+        rate = self.sample_rate
+        if not (isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+                and rate > 0 and math.isfinite(rate)):
+            raise InvalidInputError(f"sample_rate must be a finite positive number, "
+                                    f"got {rate!r}")
         if self.kind not in ("raw", "filtered"):
             raise InvalidInputError(f"bad window kind {self.kind!r}")
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", float(rate))
 
     @property
     def n_samples(self) -> int:

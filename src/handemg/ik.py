@@ -11,9 +11,10 @@ quadratically near a zero-residual solution.
 `lbfgs_minimize` is a general minimizer of any (loss, gradient) objective:
 L-BFGS with a strong Wolfe line search, configured by `IkConfig`.
 `ik_loss_and_gradient` is the IK objective (mean squared landmark distance,
-mm^2) in that form. In an L-BFGS trace, "inner iterations" counts objective
-evaluations spent inside one line search and "outer steps" counts accepted
-updates.
+mm^2) in that form. The fit and `ik_loss_and_gradient` share one residual,
+`_residuals`, so a gradient check tests the Jacobian the fit uses. In an
+L-BFGS trace, "inner iterations" counts objective evaluations spent inside
+one line search and "outer steps" counts accepted updates.
 """
 
 from __future__ import annotations
@@ -118,18 +119,24 @@ def inverse_sigmoid_reparam(a, limits) -> np.ndarray:
     return np.log(t) - np.log1p(-t)
 
 
+def _residuals(z, targets: LandmarkSet, skeleton: HandSkeleton):
+    """The IK least-squares problem at z: the angles a(z), their landmarks
+    (20, 3), the residuals FK(a(z)) - targets (60,) and their z-Jacobian (60, 22)."""
+    limits = skeleton.limits
+    lo, span = limits[:, 0], limits[:, 1] - limits[:, 0]
+    s = _sigmoid(z)
+    angles = lo + span * s
+    points, jac = landmark_jacobian(skeleton, JointAngles22(angles))
+    residual = (points - targets.points).ravel()
+    jac_z = jac.reshape(N_LANDMARKS * 3, N_DOF) * (span * s * (1.0 - s))
+    return angles, points, residual, jac_z
+
+
 def ik_loss_and_gradient(z, targets: LandmarkSet, skeleton: HandSkeleton):
     """Mean squared landmark error of FK(sigmoid_reparam(z)) and its z-gradient."""
-    z = np.asarray(z, dtype=float)
-    limits = skeleton.limits
-    s = _sigmoid(z)
-    a = limits[:, 0] + (limits[:, 1] - limits[:, 0]) * s
-    points, jac = landmark_jacobian(skeleton, JointAngles22(a))
-    residual = points - targets.points                       # (20, 3)
-    loss = float(np.sum(residual ** 2)) / N_LANDMARKS
-    grad_a = 2.0 / N_LANDMARKS * np.einsum("ik,ikj->j", residual, jac)
-    da_dz = (limits[:, 1] - limits[:, 0]) * s * (1.0 - s)
-    return loss, grad_a * da_dz
+    _, _, residual, jac_z = _residuals(np.asarray(z, dtype=float), targets, skeleton)
+    return (float(residual @ residual) / N_LANDMARKS,
+            2.0 / N_LANDMARKS * (residual @ jac_z))
 
 
 @dataclass
@@ -285,8 +292,6 @@ def lbfgs_minimize(objective, z0, config: IkConfig = IkConfig()):
         if len(recent) == 4 and recent[0] - recent[-1] < 1e-12 * max(abs(recent[0]), 1.0):
             converged = True
             break
-    else:
-        converged = converged or np.max(np.abs(g)) < config.gradient_tolerance
     if np.max(np.abs(g)) < config.gradient_tolerance:
         converged = True
     trace.converged = converged
@@ -319,23 +324,14 @@ def _lm_solve(z0, targets: LandmarkSet, skeleton: HandSkeleton):
 
     Each step solves (J^T J + lam diag(J^T J)) dz = -J^T r with J the (60, 22)
     z-space Jacobian. An accepted step (lower squared error) divides lam by 3,
-    a rejected one multiplies it by 4. Returns (z, points, mse, converged,
-    steps): `points` are the landmarks of the returned z, and `steps` counts
-    the steps tried, accepted or not.
+    a rejected one multiplies it by 4. Returns (angles, points, mse, converged,
+    steps): `angles` and `points` are those of the best evaluation, and `steps`
+    counts the steps tried, accepted or not.
     """
-    limits = skeleton.limits
-    lo, span = limits[:, 0], limits[:, 1] - limits[:, 0]
-
-    def evaluate(z):
-        s = _sigmoid(z)
-        points, jac = landmark_jacobian(skeleton, JointAngles22(lo + span * s))
-        residual = (points - targets.points).ravel()
-        jac_z = jac.reshape(N_LANDMARKS * 3, N_DOF) * (span * s * (1.0 - s))
-        return points, residual, float(residual @ residual), jac_z
-
     exact_cost = _LM_EXACT_MSE * N_LANDMARKS
     z = np.asarray(z0, dtype=float)
-    points, residual, cost, jac = evaluate(z)
+    angles, points, residual, jac = _residuals(z, targets, skeleton)
+    cost = float(residual @ residual)
     damping = _LM_DAMPING
     converged = cost <= exact_cost
     steps = 0
@@ -346,14 +342,23 @@ def _lm_solve(z0, targets: LandmarkSet, skeleton: HandSkeleton):
         scale = np.maximum(scale, 1e-12 * scale.max())
         z_new = z + np.linalg.solve(jtj + np.diag(damping * scale), -(jac.T @ residual))
         steps += 1
-        points_new, residual_new, cost_new, jac_new = evaluate(z_new)
+        evaluation = _residuals(z_new, targets, skeleton)
+        cost_new = float(evaluation[2] @ evaluation[2])
         if not cost_new < cost:
             damping *= 4.0
             continue
         converged = cost_new <= exact_cost or cost - cost_new <= _LM_STALL * cost
-        z, points, residual, cost, jac = z_new, points_new, residual_new, cost_new, jac_new
+        z, cost = z_new, cost_new
+        angles, points, residual, jac = evaluation
         damping /= 3.0
-    return z, points, cost / N_LANDMARKS, converged, steps
+    return angles, points, cost / N_LANDMARKS, converged, steps
+
+
+def _inside_z(angles: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """z of `angles` pulled 1% inside the limits, where the inverse map is defined."""
+    lo, hi = limits[:, 0], limits[:, 1]
+    pad = 0.01 * (hi - lo)
+    return inverse_sigmoid_reparam(np.clip(angles, lo + pad, hi - pad), limits)
 
 
 def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.ndarray:
@@ -366,8 +371,7 @@ def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.nda
     """
     limits = skeleton.limits
     lo, hi = limits[:, 0], limits[:, 1]
-    mid = limits.mean(axis=1)
-    start = mid.copy()
+    start = limits.mean(axis=1)
     rigid, rest = skeleton.wrist_rigid_rest
     if len(rigid) >= 3:
         tgt = targets.points[rigid]
@@ -380,8 +384,20 @@ def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.nda
         if np.isfinite(fe) and np.isfinite(ru):
             start[WRIST_FE] = np.clip(fe, lo[WRIST_FE], hi[WRIST_FE])
             start[WRIST_RU] = np.clip(ru, lo[WRIST_RU], hi[WRIST_RU])
-    pad = 0.01 * (hi - lo)
-    return inverse_sigmoid_reparam(np.clip(start, lo + pad, hi - pad), limits)
+    return _inside_z(start, limits)
+
+
+def _starts(targets: LandmarkSet, skeleton: HandSkeleton,
+            warm_start: JointAngles22 | None):
+    """Candidate z starts in fit order, each built only when it is asked for."""
+    if warm_start is not None:
+        yield _inside_z(warm_start.values, skeleton.limits)
+    z_aligned = _wrist_aligned_start(targets, skeleton)
+    yield z_aligned
+    yield np.zeros(N_DOF)
+    restart_rng = np.random.Generator(np.random.Philox(key=0))
+    for _ in range(_N_PERTURBED_RESTARTS):
+        yield z_aligned + restart_rng.normal(size=N_DOF) * _RESTART_SIGMA
 
 
 def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
@@ -393,42 +409,24 @@ def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
     Starting points are tried in order (warm start if given, wrist-aligned
     mid-range pose, mid-range pose, then a fixed set of seeded perturbations)
     until the residual is acceptable; the best solve is returned either way.
-    The candidate list is deterministic, so repeated calls are bit-identical.
+    The candidates are deterministic, so repeated calls are bit-identical.
     `handedness` only labels the returned angles: the fit uses `skeleton` as is.
     """
     if alignment is not None:
         targets = LandmarkSet(alignment.apply(targets.points))
-    limits = skeleton.limits
-    lo, hi = limits[:, 0], limits[:, 1]
-
-    candidates = []
-    if warm_start is not None:
-        # pull the warm pose 1% inside the limits so the inverse map is defined
-        pad = 0.01 * (hi - lo)
-        candidates.append(inverse_sigmoid_reparam(
-            np.clip(warm_start.values, lo + pad, hi - pad), limits))
-    z_aligned = _wrist_aligned_start(targets, skeleton)
-    candidates.append(z_aligned)
-    candidates.append(np.zeros(N_DOF))
-    restart_rng = np.random.Generator(np.random.Philox(key=0))
-    candidates += [z_aligned + restart_rng.normal(size=N_DOF) * _RESTART_SIGMA
-                   for _ in range(_N_PERTURBED_RESTARTS)]
-
     best = None
     iterations_total = 0
-    for z0 in candidates:
-        z, points, mse, converged, steps = _lm_solve(z0, targets, skeleton)
+    for z0 in _starts(targets, skeleton, warm_start):
+        angles, points, mse, converged, steps = _lm_solve(z0, targets, skeleton)
         iterations_total += steps
         if best is None or mse < best[2]:
-            best = (z, points, mse, converged)
+            best = (angles, points, mse, converged)
         if best[2] <= _ACCEPT_MSE:
             break
 
-    z_star, points, _, converged = best
-    angles = JointAngles22(sigmoid_reparam(z_star, limits), handedness=handedness)
-    # `points` are bit-identical to forward_kinematics(skeleton, angles).points
+    angles, points, _, converged = best
     per_landmark = np.linalg.norm(points - targets.points, axis=1)
-    return IkResult(angles=angles,
+    return IkResult(angles=JointAngles22(angles, handedness=handedness),
                     residual_mse=float(np.mean(per_landmark ** 2)),
                     per_landmark_error=per_landmark,
                     converged=bool(converged),

@@ -171,3 +171,22 @@ def test_config_validation():
         augment.MarkerAugConfig(global_scale=(1.4, 0.6))
     with pytest.raises(InvalidInputError):
         augment.MarkerAugConfig(max_swaps=-1)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (augment.EmgAugConfig, "channel_dropout_p", "x"),
+    (augment.EmgAugConfig, "noise_snr_db", 5),
+    (augment.EmgAugConfig, "noise_snr_db", (25.0, "35")),
+    (augment.EmgAugConfig, "n_freq_masks", 1.5),
+    (augment.EmgAugConfig, "max_mask_bins", True),
+    (augment.EmgAugConfig, "jitter_ms", None),
+    (augment.EmgAugConfig, "jitter_ms", float("nan")),
+    (augment.MarkerAugConfig, "drift_mm", "5"),
+    (augment.MarkerAugConfig, "global_scale", (0.6, float("inf"))),
+    (augment.MarkerAugConfig, "max_swaps", 2.5),
+    (augment.MarkerAugConfig, "spike_p", None),
+])
+def test_config_rejects_mistyped_values(cls, field, value):
+    """Non-numbers and non-integer counts are invalid input, not a TypeError."""
+    with pytest.raises(InvalidInputError, match=field):
+        cls(**{field: value})

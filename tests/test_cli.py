@@ -191,6 +191,49 @@ def test_malformed_mesh_or_camera_exit_2(capsys, tmp_path, mesh, camera, detail)
     assert out == ""
 
 
+_CAMERA_TEXT = "".join(f"{k}: {v}\n" for k, v in _CAMERA.items()).encode()
+
+
+@pytest.mark.parametrize("mesh, camera, kind", [
+    (_MESH.encode(), b"fx: [1\n", "bad-camera"),
+    (_MESH.encode(), b"- 1\n- 2\n", "bad-camera"),
+    (_MESH.encode(), _CAMERA_TEXT + b"\xff\xfe: 1\n", "bad-camera"),
+    (b"v 0 0 0\n\xff\xfe\n", _CAMERA_TEXT, "bad-mesh"),
+], ids=["camera-yaml-unclosed-list", "camera-not-a-mapping", "camera-not-utf8",
+        "mesh-not-utf8"])
+def test_unreadable_mesh_or_camera_file_exit_2(capsys, tmp_path, mesh, camera, kind):
+    mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
+    mesh_path.write_bytes(mesh)
+    cam_path.write_bytes(camera)
+    code, out, err = _run(capsys, "occlude", "--mesh", str(mesh_path),
+                          "--camera", str(cam_path))
+    assert code == 2 and out == ""
+    path = mesh_path if kind == "bad-mesh" else cam_path
+    assert err.splitlines()[-1].startswith(f"error: {kind}: {path}")
+
+
+_BAD_EMG_CONFIGS = {
+    "yaml-unclosed-list": "a: [1",
+    "channel_dropout_p-string": "channel_dropout_p: x",
+    "noise_snr_db-scalar": "noise_snr_db: 5",
+    "n_freq_masks-float": "n_freq_masks: 1.5",
+    "jitter_ms-null": "jitter_ms: null",
+    "unknown-int-and-str-keys": "1: 2\na: 3",
+}
+
+
+@pytest.mark.parametrize("text", _BAD_EMG_CONFIGS.values(), ids=_BAD_EMG_CONFIGS)
+def test_malformed_augment_config_is_bad_config(capsys, tmp_path, text):
+    episode, config = tmp_path / "ep.egl", tmp_path / "aug.yaml"
+    ds.write_episode(ds.synth_episode(seed=0, duration_s=4.0), episode)
+    config.write_text(text + "\n")
+    code, out, err = _run(capsys, "augment-emg", "--config", str(config), str(episode),
+                          "--out", str(tmp_path / "out.egl"))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: bad-config: ")
+    assert not (tmp_path / "out.egl").exists()
+
+
 def test_occlude_depth_file_is_the_rasterized_buffer(capsys, tmp_path):
     mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
     mesh_path.write_text("v -50 -50 800\nv 50 -50 800\nv 0 50 800\n"

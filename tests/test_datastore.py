@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import re
 import struct
+import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,8 +334,23 @@ def _unknown_gesture(meta, arrays):
     meta["gesture_label"] = "Nope"
 
 
-@pytest.mark.parametrize("edit", [_invalid_pose_left, _unknown_gesture],
-                         ids=["pose_left-21-columns", "gesture-Nope"])
+def _meta_field(key, value):
+    def edit(meta, arrays):
+        meta[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_invalid_pose_left, _unknown_gesture,
+                                  _meta_field("sample_rate", float("nan")),
+                                  _meta_field("sample_rate", float("inf")),
+                                  _meta_field("sample_rate", True),
+                                  _meta_field("sample_rate", "2000"),
+                                  _meta_field("participant_id", 1.5),
+                                  _meta_field("participant_id", True)],
+                         ids=["pose_left-21-columns", "gesture-Nope", "sample_rate-nan",
+                              "sample_rate-inf", "sample_rate-bool", "sample_rate-string",
+                              "participant_id-float",
+                              "participant_id-bool"])
 def test_invalid_episode_is_bad_manifest(capsys, tmp_path, edit):
     """A valid EGL1 file whose blocks and meta do not form a valid Episode."""
     path = tmp_path / "ep.egl"
@@ -375,3 +393,58 @@ def test_empty_blocks_overlap_nothing(tmp_path):
     _, back = ds.read_blocks(path)
     for name, arr in arrays.items():
         assert back[name].shape == arr.shape and np.array_equal(back[name], arr)
+
+
+def _documented_error_kinds():
+    """The `kind` values of the error taxonomy table in docs/FORMAT.md."""
+    doc = (Path(__file__).parents[1] / "docs" / "FORMAT.md").read_text()
+    section = doc.split("## Error taxonomy", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([a-z-]+)`", section, flags=re.M))
+
+
+def _egl1_mutations(raw, rng, n_flips=128, n_substitutions=960):
+    """Seeded corruptions of an EGL1 file: truncation at every byte through the
+    end of the manifest, payload byte flips, manifest character substitutions."""
+    (length,) = struct.unpack("<I", raw[4:8])
+    manifest_end = 8 + length
+    for n in range(manifest_end + 1):
+        yield raw[:n]
+    for pos in rng.integers(manifest_end, len(raw), n_flips):
+        data = bytearray(raw)
+        data[pos] ^= int(rng.integers(1, 256))
+        yield bytes(data)
+    alphabet = b'0123456789-+.eE"{}[]:, abcxyzAZ_\\'
+    for pos in rng.integers(8, manifest_end, n_substitutions):
+        data = bytearray(raw)
+        data[pos] = alphabet[rng.integers(len(alphabet))]
+        yield bytes(data)
+
+
+def test_egl1_mutations_read_or_fail_with_documented_kind(capsys, tmp_path):
+    """Every corrupted episode file reads as an episode or raises a
+    DataFormatError of a documented kind, and `handemg info` exits 0 or 2."""
+    source = _calibrated_episode_file(tmp_path / "source.egl")
+    meta, arrays = ds.read_blocks(source)
+    short = {name: arr[:40] for name, arr in arrays.items()
+             if name in ("emg_samples", "emg_timestamps_ms")}
+    short.update({name: arr[:3] for name, arr in arrays.items() if name.startswith("pose")})
+    ds.write_blocks(source, meta, {**arrays, **short})
+    ds.read_episode(source)     # the unmutated file is a valid episode
+    kinds = _documented_error_kinds()
+    assert {"bad-magic", "truncated", "bad-manifest", "checksum"} <= kinds
+    path, seen = tmp_path / "mutant.egl", set()
+    rng = np.random.default_rng(2026)
+    for data in _egl1_mutations(source.read_bytes(), rng):
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # unknown block kinds warn
+            try:
+                ds.read_episode(path)
+                seen.add("valid")
+            except DataFormatError as exc:
+                assert exc.kind in kinds, (exc.kind, exc.detail)
+                seen.add(exc.kind)
+            code = cli.run(["info", str(path)])
+        capsys.readouterr()
+        assert code in (0, 2)
+    assert seen == kinds | {"valid"}

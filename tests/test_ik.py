@@ -210,3 +210,47 @@ def test_fit_takes_no_config(skeleton):
         ik.fit_joint_angles(targets, skeleton, config=ik.IkConfig())
     with pytest.raises(TypeError):
         ik.fit_batch([targets], skeleton, config=ik.IkConfig())
+
+
+def test_accepted_warm_start_builds_no_other_start(skeleton, monkeypatch):
+    """Starts are built lazily: a frame its warm start solves never pays for
+    the wrist-aligned start."""
+    calls = []
+    aligned = ik._wrist_aligned_start
+    monkeypatch.setattr(ik, "_wrist_aligned_start",
+                        lambda *args: calls.append(args) or aligned(*args))
+    frames = [LandmarkSet(t) for t in _cut_sequence(skeleton)]
+    first = ik.fit_joint_angles(frames[0], skeleton)
+    assert len(calls) == 1      # a cold frame starts from the wrist alignment
+    result = ik.fit_joint_angles(frames[1], skeleton, warm_start=first.angles)
+    assert result.residual_mse <= ik._ACCEPT_MSE
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "no-warm"])
+def test_unreachable_targets_try_every_start_in_order(skeleton, monkeypatch, warm):
+    """Warm start (pulled 1% inside the limits), wrist-aligned start, mid-range
+    start, then the seeded perturbations of the wrist-aligned start."""
+    rng = np.random.default_rng(13)
+    # every landmark three times as far from the wrist: no pose reaches them
+    targets = LandmarkSet(3.0 * forward_kinematics(
+        skeleton, JointAngles22(random_pose(rng, skeleton))).points)
+    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
+    starts = []
+    solve = ik._lm_solve
+    monkeypatch.setattr(ik, "_lm_solve",
+                        lambda z0, *args: starts.append(z0) or solve(z0, *args))
+    result = ik.fit_joint_angles(targets, skeleton,
+                                 warm_start=JointAngles22(hi) if warm else None)
+    assert result.residual_mse > ik._ACCEPT_MSE
+    z_aligned = ik._wrist_aligned_start(targets, skeleton)
+    restart_rng = np.random.Generator(np.random.Philox(key=0))
+    expected = [z_aligned, np.zeros(N_DOF)] + [
+        z_aligned + restart_rng.normal(size=N_DOF) * ik._RESTART_SIGMA
+        for _ in range(ik._N_PERTURBED_RESTARTS)]
+    if warm:
+        expected.insert(0, ik.inverse_sigmoid_reparam(hi - 0.01 * (hi - lo),
+                                                      skeleton.limits))
+    assert len(starts) == len(expected) == (7 if warm else 6)
+    for got, want in zip(starts, expected):
+        assert np.array_equal(got, want)
