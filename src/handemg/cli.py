@@ -24,7 +24,7 @@ from . import __version__, FORMAT_VERSION
 from . import augment, datastore, emg_dsp, evalkit, graph_features, ik
 from . import model_core, occlusion, wrist_geometry
 from .errors import DataFormatError, HandEmgError
-from .hand_model import (JointAngles22, LandmarkSet, default_skeleton,
+from .hand_model import (N_DOF, JointAngles22, LandmarkSet, default_skeleton,
                          forward_kinematics)
 
 
@@ -71,7 +71,12 @@ def _echo_config(args):
 
 
 def _read_csv_matrix(path):
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
+    """The rows of a comma-separated numeric file; text that does not parse
+    as a numeric matrix is a `bad-input` data error."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DataFormatError("bad-input", f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,11 @@ def _cmd_augment_markers(args):
 
 def _cmd_fk(args):
     angles = _read_csv_matrix(args.angles)
+    if angles.shape[1] != N_DOF:
+        raise DataFormatError("bad-input", f"{args.angles}: expected rows of {N_DOF} angles, "
+                              f"got shape {angles.shape}")
+    if not np.all(np.isfinite(angles)):
+        raise DataFormatError("bad-input", f"{args.angles}: angles must be finite")
     skeleton = default_skeleton()
     points = np.stack([
         forward_kinematics(skeleton, JointAngles22(row, handedness=args.handedness)).points

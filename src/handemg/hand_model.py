@@ -33,7 +33,12 @@ fingertip points.
 
 Forward kinematics is one state function over an (N, 22) angle array
 (`landmark_positions`); the single-pose `forward_kinematics` and
-`landmark_jacobian` are its N = 1 case.
+`landmark_jacobian` are its N = 1 case. It composes the tree one depth
+level per step, all bones of a level at once: 7 steps for the default hand
+(the two wrist bones, then one bone per finger at each of levels 2-6). Each
+skeleton builds its tables once (`HandSkeleton._fk_tables`): the bones in
+level order, each level's parent slots, and each joint axis's skew matrix K
+with K @ K, so a local rotation is I + sin(a) K + (1 - cos(a)) K^2.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -63,6 +69,22 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def _skew(axis: np.ndarray) -> np.ndarray:
+    """Cross-product matrices K (..., 3, 3) of axes (..., 3): K @ v = axis x v."""
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1)
+    return k.reshape(axis.shape[:-1] + (3, 3))
+
+
+def _axis_angle(k: np.ndarray, kk: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rodrigues' formula I + sin(theta) K + (1 - cos(theta)) K^2, for skew
+    matrices `k`, their squares `kk` and angles `theta` in radians."""
+    sin = np.sin(theta)[..., None, None]
+    versin = (1.0 - np.cos(theta))[..., None, None]
+    return np.eye(3) + sin * k + versin * kk
+
+
 def rodrigues(axis, angle_deg) -> np.ndarray:
     """Rotation matrices for rotations of `angle_deg` degrees about unit axes.
 
@@ -75,14 +97,8 @@ def rodrigues(axis, angle_deg) -> np.ndarray:
     norm = np.linalg.norm(axis, axis=-1)
     if not np.all(np.abs(norm - 1.0) <= 1e-6):
         raise InvalidInputError(f"axis must be unit-norm, |axis| = {norm!r}")
-    theta = np.radians(angle_deg)
-    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
-    zero = np.zeros_like(x)
-    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1)
-    k = k.reshape(axis.shape[:-1] + (3, 3))
-    sin = np.sin(theta)[..., None, None]
-    versin = (1.0 - np.cos(theta))[..., None, None]
-    return np.eye(3) + sin * k + versin * (k @ k)
+    k = _skew(axis)
+    return _axis_angle(k, k @ k, np.radians(angle_deg))
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,43 @@ class Bone:
     def __post_init__(self):
         object.__setattr__(self, "offset", _read_only(self.offset))
         object.__setattr__(self, "axis", _read_only(self.axis))
+
+
+def _parent_slots(slots: list):
+    """A level's parent slots as a slice where they are contiguous or shared
+    (a one-slot slice broadcasts), else as an index array."""
+    first = slots[0]
+    if slots == [first] * len(slots):
+        return slice(first, first + 1)
+    if slots == list(range(first, first + len(slots))):
+        return slice(first, first + len(slots))
+    return np.array(slots)
+
+
+class _FkTables(NamedTuple):
+    """A skeleton's bones in level order, one slot each, with slot B the
+    identity "world" frame that the root reads as its parent.
+
+    levels: per depth level, its slots (a slice), its parents' slots and its
+        rest offsets (k, 3, 1).
+    columns: each slot's angle column, N_DOF for rigid bones (a fixed 0 deg).
+    skew, skew_sq: each slot's axis as a cross-product matrix K, and K @ K.
+    dof_slots, dof_parent_slots: the slot of the bone each DoF drives, and of
+        that bone's parent.
+    dof_axes: each DoF's rotation axis (22, 3, 1) in its bone's frame.
+    landmark_slots, landmark_offsets: each landmark's slot and local offset
+        (20, 3, 1).
+    """
+
+    levels: tuple
+    columns: np.ndarray
+    skew: np.ndarray
+    skew_sq: np.ndarray
+    dof_slots: np.ndarray
+    dof_parent_slots: np.ndarray
+    dof_axes: np.ndarray
+    landmark_slots: np.ndarray
+    landmark_offsets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,46 +265,67 @@ class HandSkeleton:
         return rigid, _read_only(rest)
 
     @cached_property
-    def _fk_tables(self):
-        """Bone axes (B, 3), each bone's angle column (-1 for rigid bones),
-        and each landmark's bone index and local offset (20, 3)."""
-        axes = np.array([b.axis for b in self.bones])
-        columns = np.array([-1 if b.dof is None else b.dof for b in self.bones])
-        landmark_bones = np.array([bi for bi, _ in self.landmark_map])
-        landmark_offsets = np.array([off for _, off in self.landmark_map], dtype=float)
-        return axes, columns, landmark_bones, landmark_offsets
+    def _fk_tables(self) -> _FkTables:
+        """The bones in level order and what FK reads per level, built once."""
+        depth = []
+        for bone in self.bones:     # tree order: a parent's depth is known
+            depth.append(0 if bone.parent < 0 else depth[bone.parent] + 1)
+        order = sorted(range(len(self.bones)), key=depth.__getitem__)
+        slot = {bone: i for i, bone in enumerate(order)}
+        slot[-1] = len(order)       # parent -1 reads the world slot
+        ordered = [self.bones[i] for i in order]
+        parents = [slot[b.parent] for b in ordered]
+        levels, start = [], 0
+        for level in range(max(depth) + 1):
+            stop = start + depth.count(level)
+            offsets = np.array([b.offset for b in ordered[start:stop]])[:, :, None]
+            levels.append((slice(start, stop), _parent_slots(parents[start:stop]), offsets))
+            start = stop
+        columns = [N_DOF if b.dof is None else b.dof for b in ordered]
+        dof_slots = np.array([columns.index(dof) for dof in range(N_DOF)])
+        skew = _skew(np.array([b.axis for b in ordered]))
+        return _FkTables(
+            levels=tuple(levels),
+            columns=np.array(columns),
+            skew=skew,
+            skew_sq=skew @ skew,
+            dof_slots=dof_slots,
+            dof_parent_slots=np.array(parents)[dof_slots],
+            dof_axes=np.array([ordered[i].axis for i in dof_slots])[:, :, None],
+            landmark_slots=np.array([slot[bi] for bi, _ in self.landmark_map]),
+            landmark_offsets=np.array([off for _, off in self.landmark_map])[:, :, None],
+        )
 
 
 def _fk_state(skeleton: HandSkeleton, values: np.ndarray):
     """Bone world origins and rotations, and per-DoF world axes and origins.
 
     `values` is an (N, 22) angle array. Origins (N, B + 1, 3) and rotations
-    (N, B + 1, 3, 3) end in an identity "world" slot, which the root reads
-    as its parent (index -1). Rigid bones read a fixed 0 degrees, whose
-    rotation is exactly the identity.
+    (N, B + 1, 3, 3) are indexed by level-order slot and end in the identity
+    "world" slot. The tree is composed one depth level per step: every bone
+    of a level reads its parent from the level above. Rigid bones read a
+    fixed 0 degrees, whose rotation is exactly the identity.
     """
-    axes, columns, _, _ = skeleton._fk_tables
-    n, n_bones = len(values), len(skeleton.bones)
-    padded = np.concatenate([values, np.zeros((n, 1))], axis=1)   # column -1: 0 deg
-    local = rodrigues(axes, padded[:, columns])                 # (N, B, 3, 3)
+    tables = skeleton._fk_tables
+    n, n_bones = len(values), len(tables.columns)
+    padded = np.concatenate([values, np.zeros((n, 1))], axis=1)   # column N_DOF: 0 deg
+    local = _axis_angle(tables.skew, tables.skew_sq,
+                        np.radians(padded[:, tables.columns]))     # (N, B, 3, 3)
     origins = np.zeros((n, n_bones + 1, 3))
     rotations = np.zeros((n, n_bones + 1, 3, 3))
     rotations[:, -1] = np.eye(3)
-    dof_axes = np.zeros((n, N_DOF, 3))
-    dof_origins = np.zeros((n, N_DOF, 3))
-    for i, bone in enumerate(skeleton.bones):
-        parent_r = rotations[:, bone.parent]
-        origins[:, i] = origins[:, bone.parent] + parent_r @ bone.offset
-        rotations[:, i] = parent_r @ local[:, i]
-        if bone.dof is not None:
-            dof_axes[:, bone.dof] = parent_r @ bone.axis
-            dof_origins[:, bone.dof] = origins[:, i]
-    return origins, rotations, dof_axes, dof_origins
+    for slots, parents, offsets in tables.levels:
+        parent_r = rotations[:, parents]
+        origins[:, slots] = origins[:, parents] + (parent_r @ offsets)[..., 0]
+        rotations[:, slots] = parent_r @ local[:, slots]
+    dof_axes = (rotations[:, tables.dof_parent_slots] @ tables.dof_axes)[..., 0]
+    return origins, rotations, dof_axes, origins[:, tables.dof_slots]
 
 
 def _landmark_points(skeleton: HandSkeleton, origins, rotations) -> np.ndarray:
-    _, _, bones, offsets = skeleton._fk_tables
-    return origins[:, bones] + (rotations[:, bones] @ offsets[:, :, None])[..., 0]
+    tables = skeleton._fk_tables
+    slots = tables.landmark_slots
+    return origins[:, slots] + (rotations[:, slots] @ tables.landmark_offsets)[..., 0]
 
 
 def landmark_positions(skeleton: HandSkeleton, angles) -> np.ndarray:
@@ -280,10 +354,10 @@ def landmark_jacobian(skeleton: HandSkeleton, angles: JointAngles22):
     origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, angles.values[None])
     points = _landmark_points(skeleton, origins, rotations)[0]
     # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian
-    rel = points[:, None, :] - dof_origins[0][None, :, :]       # (20, 22, 3)
-    jac = np.cross(np.broadcast_to(dof_axes[0], rel.shape), rel)  # (20, 22, 3)
-    jac = jac * skeleton.landmark_dof_mask[:, :, None]
-    return points, np.swapaxes(jac, 1, 2) * (np.pi / 180.0)
+    rx, ry, rz = points.T[:, :, None] - dof_origins[0].T[:, None, :]   # (20, 22) each
+    ax, ay, az = dof_axes[0].T
+    jac = np.stack([ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx], axis=1)
+    return points, jac * skeleton.landmark_dof_mask[:, None, :] * (np.pi / 180.0)
 
 
 def mirror_pose(angles: JointAngles22) -> JointAngles22:

@@ -133,6 +133,22 @@ def test_wrist_command(capsys, tmp_path):
     assert abs(float(values["theta_ru_deg"]) + 10.0) < 1e-6
 
 
+@pytest.mark.parametrize("command, text", [
+    ("fk", "1,2,x\n"),                                     # unparsable value
+    ("fk", ",".join(["0"] * 21) + "\n"),                    # 21 angles, not 22
+    ("fk", ",".join(["0"] * 21 + ["nan"]) + "\n"),          # non-finite angle
+    ("wrist", "0,0,0\n0,0,x\n0,0,1\n1,0,0\n0,1,0\n"),   # unparsable value
+], ids=["fk-unparsable", "fk-21-columns", "fk-nan", "wrist-unparsable"])
+def test_malformed_csv_is_bad_input(capsys, tmp_path, command, text):
+    csv = tmp_path / "in.csv"
+    csv.write_text(text)
+    option = {"fk": ("--angles", str(csv), "--out", str(tmp_path / "lm.egl")),
+              "wrist": ("--points", str(csv))}[command]
+    code, out, err = _run(capsys, command, *option)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: bad-input: {csv}: ")
+
+
 def test_occlude_command(capsys, tmp_path):
     mesh = tmp_path / "mesh.txt"
     mesh.write_text("v -50 -50 800\nv 50 -50 800\nv 0 50 800\n"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,6 +62,133 @@ def test_landmark_positions_matches_single_pose_fk(skeleton):
     single = np.stack([hm.forward_kinematics(skeleton, hm.JointAngles22(p)).points
                        for p in poses])
     assert np.array_equal(batch, single)
+
+
+def _loop_fk(skeleton, values):
+    """Reference FK: one step per bone, in the skeleton's own bone order.
+    Landmarks (N, 20, 3), DoF world axes and DoF origins (N, 22, 3)."""
+    n, n_bones = len(values), len(skeleton.bones)
+    axes = np.array([b.axis for b in skeleton.bones])
+    columns = [-1 if b.dof is None else b.dof for b in skeleton.bones]
+    padded = np.concatenate([values, np.zeros((n, 1))], axis=1)
+    local = hm.rodrigues(axes, padded[:, columns])
+    origins = np.zeros((n, n_bones + 1, 3))
+    rotations = np.zeros((n, n_bones + 1, 3, 3))
+    rotations[:, -1] = np.eye(3)
+    dof_axes = np.zeros((n, hm.N_DOF, 3))
+    dof_origins = np.zeros((n, hm.N_DOF, 3))
+    for i, bone in enumerate(skeleton.bones):
+        parent_r = rotations[:, bone.parent]
+        origins[:, i] = origins[:, bone.parent] + parent_r @ bone.offset
+        rotations[:, i] = parent_r @ local[:, i]
+        if bone.dof is not None:
+            dof_axes[:, bone.dof] = parent_r @ bone.axis
+            dof_origins[:, bone.dof] = origins[:, i]
+    bones = [bi for bi, _ in skeleton.landmark_map]
+    offsets = np.array([off for _, off in skeleton.landmark_map])
+    points = origins[:, bones] + (rotations[:, bones] @ offsets[:, :, None])[..., 0]
+    return points, dof_axes, dof_origins
+
+
+def _loop_jacobian(skeleton, values):
+    points, dof_axes, dof_origins = _loop_fk(skeleton, values[None])
+    rel = points[0][:, None, :] - dof_origins[0][None, :, :]
+    jac = np.cross(np.broadcast_to(dof_axes[0], rel.shape), rel)
+    jac = jac * skeleton.landmark_dof_mask[:, :, None]
+    return points[0], np.swapaxes(jac, 1, 2) * (np.pi / 180.0)
+
+
+def test_fk_core_matches_per_bone_loop(skeleton):
+    rng = np.random.default_rng(6)
+    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
+    poses = rng.uniform(lo, hi, size=(500, 22))
+    for batch in (poses[:1], poses):
+        assert np.array_equal(hm.landmark_positions(skeleton, batch),
+                              _loop_fk(skeleton, batch)[0])
+    for values in poses[:200]:
+        points, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(values))
+        ref_points, ref_jac = _loop_jacobian(skeleton, values)
+        assert np.array_equal(points, ref_points)
+        assert np.array_equal(jac, ref_jac)
+
+
+def test_default_skeleton_levels_read_parents_by_slice(skeleton):
+    levels = skeleton._fk_tables.levels
+    assert [s.stop - s.start for s, _, _ in levels] == [1, 1, 5, 5, 5, 5, 5]
+    assert all(isinstance(parents, slice) for _, parents, _ in levels)
+
+
+def _reordered(skeleton, order):
+    """The same hand with its bones listed in `order` (a valid tree order)."""
+    new_index = {old: new for new, old in enumerate(order)}
+    new_index[-1] = -1
+    bones = tuple(hm.Bone(parent=new_index[b.parent], offset=b.offset, axis=b.axis,
+                          dof=b.dof, name=b.name)
+                  for b in (skeleton.bones[i] for i in order))
+    return hm.HandSkeleton(
+        bones=bones, limits=skeleton.limits,
+        landmark_map=tuple((new_index[bi], off) for bi, off in skeleton.landmark_map),
+        fingertip_indices=skeleton.fingertip_indices)
+
+
+def test_fk_is_independent_of_bone_order(tmp_path, skeleton):
+    """A seeded random tree order interleaves the fingers, so that some
+    level reads its parents through an index array."""
+    rng = np.random.default_rng(8)
+    placed, order = {-1}, []
+    while len(order) < len(skeleton.bones):
+        ready = [i for i, b in enumerate(skeleton.bones)
+                 if i not in placed and b.parent in placed]
+        order.append(ready[rng.integers(len(ready))])
+        placed.add(order[-1])
+    path = tmp_path / "reordered.skel"
+    hm.save_skeleton(_reordered(skeleton, order), path)
+    loaded = hm.load_skeleton(path)
+    assert [b.name for b in loaded.bones] != [b.name for b in skeleton.bones]
+    assert any(isinstance(parents, np.ndarray) for _, parents, _ in loaded._fk_tables.levels)
+    poses = rng.uniform(skeleton.limits[:, 0], skeleton.limits[:, 1], size=(50, 22))
+    expect = hm.landmark_positions(skeleton, poses)
+    got = hm.landmark_positions(loaded, poses)
+    assert np.abs(got - expect).max() <= 1e-12
+    assert np.array_equal(got, expect)
+    for values in poses:
+        angles = hm.JointAngles22(values)
+        _, jac = hm.landmark_jacobian(loaded, angles)
+        _, expect_jac = hm.landmark_jacobian(skeleton, angles)
+        assert np.abs(jac - expect_jac).max() <= 1e-12
+        assert np.array_equal(jac, expect_jac)
+
+
+_FK_CHILD = """
+import sys
+import numpy as np
+from handemg import hand_model as hm
+skeleton = hm.default_skeleton()
+poses = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, hm.N_DOF)
+sys.stdout.buffer.write(hm.landmark_positions(skeleton, poses).tobytes())
+for values in poses:
+    points, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(values))
+    sys.stdout.buffer.write(points.tobytes() + jac.tobytes())
+"""
+
+
+def test_fk_bit_identical_across_blas_threads(skeleton):
+    """The thread count is set in each child's environment only."""
+    rng = np.random.default_rng(9)
+    poses = rng.uniform(skeleton.limits[:, 0], skeleton.limits[:, 1], size=(100, 22))
+    path = [str(Path(hm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        child = subprocess.run([sys.executable, "-c", _FK_CHILD], input=poses.tobytes(),
+                               env=env, capture_output=True, check=True, timeout=300)
+        outputs.append(child.stdout)
+    here = hm.landmark_positions(skeleton, poses).tobytes() + b"".join(
+        b"".join(a.tobytes() for a in hm.landmark_jacobian(skeleton, hm.JointAngles22(v)))
+        for v in poses)
+    assert len(here) == len(poses) * 20 * 3 * (1 + 1 + 22) * 8
+    assert outputs[0] == outputs[1] == here
 
 
 def test_fk_zero_pose_shapes(skeleton):
