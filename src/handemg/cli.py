@@ -24,8 +24,8 @@ from . import __version__, FORMAT_VERSION
 from . import augment, datastore, emg_dsp, evalkit, graph_features, ik
 from . import model_core, occlusion, wrist_geometry
 from .errors import DataFormatError, HandEmgError
-from .hand_model import (N_DOF, JointAngles22, LandmarkSet, default_skeleton,
-                         forward_kinematics)
+from .hand_model import (N_DOF, N_LANDMARKS, JointAngles22, LandmarkSet,
+                         default_skeleton, forward_kinematics)
 
 
 class _UsageError(Exception):
@@ -151,8 +151,10 @@ def _cmd_fk(args):
 def _cmd_wrist(args):
     points = _read_csv_matrix(args.points)
     if points.shape != (5, 3):
-        raise DataFormatError("bad-input", "expected 5 rows (a, b, c, wrist, "
-                              "middle MCP) of x,y,z")
+        raise DataFormatError("bad-input", f"{args.points}: expected 5 rows (a, b, c, "
+                              f"wrist, middle MCP) of x,y,z, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise DataFormatError("bad-input", f"{args.points}: points must be finite")
     frame = wrist_geometry.forearm_frame(*points[:3], handedness=args.handedness)
     result = wrist_geometry.wrist_angles(frame, points[3], points[4])
     print(f"theta_fe_deg,{result.theta_fe:.9f}")
@@ -166,8 +168,14 @@ def _cmd_ik(args):
     _, arrays = datastore.read_blocks(args.landmarks)
     if "landmarks" not in arrays:
         raise DataFormatError("bad-manifest", "missing landmarks block")
+    landmarks = arrays["landmarks"]
+    if landmarks.ndim != 3 or len(landmarks) < 1 or landmarks.shape[1:] != (N_LANDMARKS, 3):
+        raise DataFormatError("bad-input", f"{args.landmarks}: expected an (N >= 1, "
+                              f"{N_LANDMARKS}, 3) landmarks block, got shape {landmarks.shape}")
+    if not np.all(np.isfinite(landmarks)):
+        raise DataFormatError("bad-input", f"{args.landmarks}: landmarks must be finite")
     skeleton = default_skeleton()
-    results = ik.fit_batch([LandmarkSet(f) for f in arrays["landmarks"]], skeleton,
+    results = ik.fit_batch([LandmarkSet(f) for f in landmarks], skeleton,
                            handedness=args.handedness)
     angles = np.stack([r.angles.values for r in results])
     rms = np.sqrt(np.array([r.residual_mse for r in results]))

@@ -144,13 +144,14 @@ def feature_frame_indices(length: int) -> np.ndarray:
     return np.arange(n_frames) * FRAME_STRIDE + half_field
 
 
-def extract_windows(episode: Episode, length: int = WINDOW_SAMPLES,
-                    stride: int | None = None):
-    """Windows at offsets 0, stride, ...; pose resampled to feature frames."""
+def extract_windows(episode: Episode, stride: int | None = None):
+    """WINDOW_SAMPLES-sample windows at offsets 0, stride, ... (stride defaults
+    to the window length); pose resampled to feature frames."""
+    length = WINDOW_SAMPLES
     if stride is None:
         stride = length
-    if length < MIN_INPUT_SAMPLES or stride < 1:
-        raise InvalidInputError("window length/stride out of range")
+    if stride < 1:
+        raise InvalidInputError("window stride must be >= 1")
     total = episode.emg.n_samples
     if total < length:
         warnings.warn(f"episode of {total} samples is shorter than the "
@@ -257,8 +258,9 @@ def synth_episode(seed: int, duration_s: float,
     """
     from .hand_model import default_skeleton  # deferred: heavy asset load
 
-    if duration_s < 4.0:
-        raise InvalidInputError("duration must be at least 4 s")
+    if not (math.isfinite(duration_s) and duration_s >= 4.0):
+        raise InvalidInputError(f"duration must be a finite number of at least 4 s, "
+                                f"got {duration_s}")
     rng = np.random.default_rng(seed)
     limits = default_skeleton().limits
     lo, hi = limits[:, 0], limits[:, 1]

@@ -129,6 +129,8 @@ class LandmarkSet:
         points = np.asarray(self.points, dtype=float)
         if points.shape != (N_LANDMARKS, 3):
             raise InvalidInputError(f"expected ({N_LANDMARKS}, 3) points, got {points.shape}")
+        if not np.all(np.isfinite(points)):
+            raise InvalidInputError("landmark points must be finite")
         object.__setattr__(self, "points", _read_only(points))
 
 

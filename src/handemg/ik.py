@@ -9,12 +9,12 @@ Levenberg-Marquardt on the analytic FK Jacobian, which converges
 quadratically near a zero-residual solution.
 
 `lbfgs_minimize` is a general minimizer of any (loss, gradient) objective:
-L-BFGS with a strong Wolfe line search, configured by `IkConfig`.
-`ik_loss_and_gradient` is the IK objective (mean squared landmark distance,
-mm^2) in that form. The fit and `ik_loss_and_gradient` share one residual,
-`_residuals`, so a gradient check tests the Jacobian the fit uses. In an
-L-BFGS trace, "inner iterations" counts objective evaluations spent inside
-one line search and "outer steps" counts accepted updates.
+L-BFGS with a strong Wolfe line search, at fixed settings (100 accepted
+steps, 50 evaluations per line search, history 10, first trial step 0.1,
+gradient tolerance 1e-8). `ik_loss_and_gradient` is the IK objective (mean
+squared landmark distance, mm^2) in that form. The fit and
+`ik_loss_and_gradient` share one residual, `_residuals`, so a gradient check
+tests the Jacobian the fit uses.
 """
 
 from __future__ import annotations
@@ -41,30 +41,17 @@ from .hand_model import (
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 _MAX_BRACKET_ATTEMPTS = 20
+# L-BFGS: accepted-step budget, objective evaluations per line search (the
+# bracketing phase takes at most _MAX_BRACKET_ATTEMPTS, the zoom the rest),
+# curvature pairs kept, first trial step, and the max-|gradient| stop
+_LBFGS_MAX_STEPS = 100
+_LBFGS_LINE_SEARCH_EVALS = 50
+_LBFGS_HISTORY = 10
+_LBFGS_FIRST_STEP = 0.1
+_LBFGS_GRADIENT_TOL = 1e-8
 # sigmoid saturation guard keeping the reparameterized angles strictly
 # inside their limits at float precision
 _SIGMOID_EPS = 1e-14
-
-
-@dataclass(frozen=True)
-class IkConfig:
-    outer_steps: int = 100
-    max_inner_iters: int = 50
-    learning_rate: float = 0.1
-    history_size: int = 10
-    gradient_tolerance: float = 1e-8
-    # stop once the objective is at or below this value; 0 disables the
-    # floor and runs to the gradient/stall criteria
-    loss_tolerance: float = 0.05
-
-    def __post_init__(self):
-        for name in ("outer_steps", "max_inner_iters", "history_size"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidInputError("learning_rate must be positive")
-        if self.loss_tolerance < 0:
-            raise InvalidInputError("loss_tolerance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,20 +129,17 @@ def ik_loss_and_gradient(z, targets: LandmarkSet, skeleton: HandSkeleton):
 @dataclass
 class LbfgsTrace:
     accepted_losses: list = field(default_factory=list)
-    wolfe_satisfied: list = field(default_factory=list)
-    inner_evals: list = field(default_factory=list)
-    n_evals: int = 0
     converged: bool = False
-    outer_steps: int = 0                # accepted L-BFGS updates
-    final_loss: float = np.nan
-    final_gradient: np.ndarray | None = None
 
 
-def _zoom(objective, x, d, phi0, dphi0, lo, hi, c1, c2, budget, trace):
-    """Nocedal-Wright zoom on the bracket [lo, hi] (each entry (alpha, phi, dphi, f, g, xa))."""
+def _zoom(objective, x, d, phi0, dphi0, lo, hi, budget):
+    """Nocedal-Wright zoom on the bracket [lo, hi] (each entry (alpha, phi, dphi, f, g, xa)).
+
+    Returns (f, g, xa) of the point it settles on."""
+    c1, c2 = WOLFE_C1, WOLFE_C2
     a_lo, phi_lo, dphi_lo, f_lo, g_lo, x_lo = lo
     a_hi, phi_hi, dphi_hi, f_hi, g_hi, x_hi = hi
-    best = (a_lo, f_lo, g_lo, x_lo, False)
+    best = (f_lo, g_lo, x_lo)
     for _ in range(budget):
         # quadratic interpolation, guarded toward bisection
         denom = phi_hi - phi_lo - dphi_lo * (a_hi - a_lo)
@@ -169,87 +153,75 @@ def _zoom(objective, x, d, phi0, dphi0, lo, hi, c1, c2, budget, trace):
             alpha = 0.5 * (a_lo + a_hi)
         xa = x + alpha * d
         f, g = objective(xa)
-        trace.n_evals += 1
         phi, dphi = f, float(g @ d)
         if phi > phi0 + c1 * alpha * dphi0 or phi >= phi_lo:
             a_hi, phi_hi, dphi_hi, f_hi, g_hi, x_hi = alpha, phi, dphi, f, g, xa
         else:
             if abs(dphi) <= -c2 * dphi0:
-                return alpha, f, g, xa, True
+                return f, g, xa
             if dphi * (a_hi - a_lo) >= 0:
                 a_hi, phi_hi, dphi_hi, f_hi, g_hi, x_hi = a_lo, phi_lo, dphi_lo, f_lo, g_lo, x_lo
             a_lo, phi_lo, dphi_lo, f_lo, g_lo, x_lo = alpha, phi, dphi, f, g, xa
-            if phi_lo < best[1]:
-                best = (alpha, f, g, xa, False)
+            if phi_lo < best[0]:
+                best = (f, g, xa)
         if abs(a_hi - a_lo) < 1e-16:
             break
     if phi_lo < phi0:
-        return a_lo, f_lo, g_lo, x_lo, False
+        return f_lo, g_lo, x_lo
     return best
 
 
-def _strong_wolfe_search(objective, x, f0, g0, d, alpha_init, budget, trace):
-    """Strong Wolfe line search. Returns (x_new, f, g, ok) or None on failure."""
+def _strong_wolfe_search(objective, x, f0, g0, d, alpha_init):
+    """Strong Wolfe line search. Returns (x_new, f, g), or None on failure."""
     c1, c2 = WOLFE_C1, WOLFE_C2
     phi0, dphi0 = f0, float(g0 @ d)
     if dphi0 >= 0:
         return None
     prev = (0.0, phi0, dphi0, f0, g0, x)
     alpha = alpha_init
-    used = 0
     for attempt in range(_MAX_BRACKET_ATTEMPTS):
-        if used >= budget:
-            break
         xa = x + alpha * d
         f, g = objective(xa)
-        trace.n_evals += 1
-        used += 1
         phi, dphi = f, float(g @ d)
         cur = (alpha, phi, dphi, f, g, xa)
         if phi > phi0 + c1 * alpha * dphi0 or (attempt > 0 and phi >= prev[1]):
             lo, hi = prev, cur
         elif abs(dphi) <= -c2 * dphi0:
-            return xa, f, g, True
+            return xa, f, g
         elif dphi >= 0:
             lo, hi = cur, prev
         else:
             prev = cur
             alpha *= 2.0
             continue
-        _, f, g, xa, ok = _zoom(objective, x, d, phi0, dphi0, lo, hi, c1, c2,
-                                budget - used, trace)
-        return (xa, f, g, ok) if f < phi0 else None
+        # the zoom spends what is left of the evaluation budget
+        f, g, xa = _zoom(objective, x, d, phi0, dphi0, lo, hi,
+                         _LBFGS_LINE_SEARCH_EVALS - (attempt + 1))
+        return (xa, f, g) if f < phi0 else None
     # bracketing exhausted: accept the last sufficient-decrease point if any
     if prev[0] > 0.0 and prev[1] < phi0:
-        return prev[5], prev[3], prev[4], False
+        return prev[5], prev[3], prev[4]
     return None
 
 
-def lbfgs_minimize(objective, z0, config: IkConfig = IkConfig()):
+def lbfgs_minimize(objective, z0):
     """Minimize `objective` (returning (loss, gradient)) with L-BFGS.
 
     Returns (z_star, trace). Accepted losses are monotone non-increasing;
-    iteration stops on the gradient tolerance, the loss tolerance, a stalled
-    loss (relative decrease < 1e-12 over 3 steps), the outer-step budget, or
-    a failed line search. `trace.converged` distinguishes the outcomes.
+    iteration stops on the gradient tolerance, a stalled loss (relative
+    decrease < 1e-12 over 3 steps), the step budget, or a failed line search.
+    `trace.converged` distinguishes the outcomes.
     """
     x = np.asarray(z0, dtype=float).copy()
     f, g = objective(x)
-    trace = LbfgsTrace(n_evals=1)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise InvalidInputError("objective must be finite at the starting point")
-    s_hist: deque = deque(maxlen=config.history_size)
-    y_hist: deque = deque(maxlen=config.history_size)
-    converged = False
-    recent = deque(maxlen=4)
-    recent.append(f)
-    steps = 0
-    for step in range(config.outer_steps):
-        if np.max(np.abs(g)) < config.gradient_tolerance:
-            converged = True
-            break
-        if config.loss_tolerance > 0 and f <= config.loss_tolerance:
-            converged = True
+    trace = LbfgsTrace()
+    s_hist: deque = deque(maxlen=_LBFGS_HISTORY)
+    y_hist: deque = deque(maxlen=_LBFGS_HISTORY)
+    recent = deque([f], maxlen=4)
+    for step in range(_LBFGS_MAX_STEPS):
+        if np.max(np.abs(g)) < _LBFGS_GRADIENT_TOL:
             break
         # two-loop recursion
         q = g.copy()
@@ -268,36 +240,24 @@ def lbfgs_minimize(objective, z0, config: IkConfig = IkConfig()):
         d = -q
         if d @ g >= 0:
             d = -g
-        alpha_init = config.learning_rate if step == 0 else 1.0
-        evals_before = trace.n_evals
-        res = _strong_wolfe_search(objective, x, f, g, d, alpha_init,
-                                   config.max_inner_iters, trace)
-        trace.inner_evals.append(trace.n_evals - evals_before)
+        alpha_init = _LBFGS_FIRST_STEP if step == 0 else 1.0
+        res = _strong_wolfe_search(objective, x, f, g, d, alpha_init)
         if res is None:
             break
-        x_new, f_new, g_new, wolfe_ok = res
+        x_new, f_new, g_new = res
         s_vec = x_new - x
         y_vec = g_new - g
         if s_vec @ y_vec > 1e-14 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
         x, f, g = x_new, f_new, g_new
-        steps += 1
         trace.accepted_losses.append(f)
-        trace.wolfe_satisfied.append(wolfe_ok)
         recent.append(f)
-        if config.loss_tolerance > 0 and f <= config.loss_tolerance:
-            converged = True
-            break
         if len(recent) == 4 and recent[0] - recent[-1] < 1e-12 * max(abs(recent[0]), 1.0):
-            converged = True
+            trace.converged = True
             break
-    if np.max(np.abs(g)) < config.gradient_tolerance:
-        converged = True
-    trace.converged = converged
-    trace.outer_steps = steps
-    trace.final_loss = f
-    trace.final_gradient = g
+    if np.max(np.abs(g)) < _LBFGS_GRADIENT_TOL:
+        trace.converged = True
     return x, trace
 
 

@@ -20,6 +20,7 @@ RoPE base 10000.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,16 @@ TDS_GRID = (8, 32)                      # channel grid: 8 x 32 = 256
 # (kernel, stride) of the four strided convolutions, in order
 _CONV_LAYOUT = ((11, 5), (5, 2), (9, 5), (3, 1))
 _TDS_WIDTHS = (5, 3)                    # depthwise widths of stage 1 / stage 2
-FRAME_STRIDE = 50                       # input samples per output frame
+# (kernel, stride) of the six temporal layers in order: each TDS depthwise
+# conv follows the in-conv of its stage, at stride 1
+_TEMPORAL_LAYERS = (_CONV_LAYOUT[0], _CONV_LAYOUT[1], _CONV_LAYOUT[2], (_TDS_WIDTHS[0], 1),
+                    _CONV_LAYOUT[3], (_TDS_WIDTHS[1], 1))
+# input samples per output frame: 50
+FRAME_STRIDE = math.prod(stride for _, stride in _CONV_LAYOUT)
+# the receptive field, 1 + sum over layers of (k - 1) x (product of earlier
+# strides): 511, the fewest input samples that give one output frame
+MIN_INPUT_SAMPLES = 1 + sum((kernel - 1) * math.prod(s for _, s in _TEMPORAL_LAYERS[:i])
+                            for i, (kernel, _) in enumerate(_TEMPORAL_LAYERS))
 
 
 def _conv_out_len(n: int, kernel: int, stride: int) -> int:
@@ -46,27 +56,10 @@ def featurizer_lengths(n_samples: int):
     """Intermediate sequence lengths through the six temporal layers."""
     lengths = []
     n = n_samples
-    for (kernel, stride), tds_width in zip(_CONV_LAYOUT, (None, None) + _TDS_WIDTHS):
+    for kernel, stride in _TEMPORAL_LAYERS:
         n = _conv_out_len(n, kernel, stride)
         lengths.append(n)
-        if tds_width is not None:
-            n = n - (tds_width - 1)
-            lengths.append(n)
     return lengths
-
-
-def _min_input_samples() -> int:
-    lo, hi = 1, 10000
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if featurizer_lengths(mid)[-1] >= 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-MIN_INPUT_SAMPLES = _min_input_samples()   # 511 by the valid-conv arithmetic
 
 
 def relu(x):
@@ -155,6 +148,10 @@ class TdsBlockWeights:
         return self.depthwise_w.shape[1]
 
 
+# weight-name prefixes of the four _CONV_LAYOUT convolutions, in order
+_CONV_NAMES = ("conv1", "conv2", "stage1_in", "stage2_in")
+
+
 @dataclass(frozen=True)
 class FeaturizerWeights:
     conv1_w: np.ndarray
@@ -172,14 +169,13 @@ class FeaturizerWeights:
 
     def __post_init__(self):
         d = D_FEATURE
-        _check_shape("conv1_w", self.conv1_w, (d, N_CHANNELS, _CONV_LAYOUT[0][0]))
-        _check_shape("conv2_w", self.conv2_w, (d, d, _CONV_LAYOUT[1][0]))
-        _check_shape("stage1_in_w", self.stage1_in_w, (d, d, _CONV_LAYOUT[2][0]))
-        _check_shape("stage2_in_w", self.stage2_in_w, (d, d, _CONV_LAYOUT[3][0]))
-        for name in ("conv1_b", "conv2_b", "stage1_in_b", "stage2_in_b"):
-            _check_shape(name, getattr(self, name), (d,))
-        if self.stage1_tds.width != _TDS_WIDTHS[0] or self.stage2_tds.width != _TDS_WIDTHS[1]:
-            raise InvalidInputError("TDS depthwise widths must be 5 and 3")
+        for name, c_in, (kernel, _) in zip(_CONV_NAMES, (N_CHANNELS, d, d, d), _CONV_LAYOUT):
+            _check_shape(f"{name}_w", getattr(self, f"{name}_w"), (d, c_in, kernel))
+        for name in _CONV_NAMES:
+            _check_shape(f"{name}_b", getattr(self, f"{name}_b"), (d,))
+        if (self.stage1_tds.width, self.stage2_tds.width) != _TDS_WIDTHS:
+            raise InvalidInputError(
+                f"TDS depthwise widths must be {_TDS_WIDTHS[0]} and {_TDS_WIDTHS[1]}")
 
 
 @dataclass(frozen=True)
@@ -316,14 +312,13 @@ class TransformerWeights:
     input_proj_b: np.ndarray | None = None
 
 
-def rope_apply(x: np.ndarray, positions: np.ndarray,
-               base: float = ROPE_BASE) -> np.ndarray:
+def rope_apply(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Rotate consecutive coordinate pairs of (heads, T, head_dim) by pos*theta_i."""
     head_dim = x.shape[-1]
     if head_dim % 2:
         raise ConfigurationError("RoPE needs an even head dimension")
     positions = np.asarray(positions, dtype=float)
-    theta = base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    theta = ROPE_BASE ** (-2.0 * np.arange(head_dim // 2) / head_dim)
     angle = positions[:, None] * theta[None, :]              # (T, head_dim/2)
     cos, sin = np.cos(angle), np.sin(angle)
     x_even, x_odd = x[..., 0::2], x[..., 1::2]
@@ -469,8 +464,8 @@ def _fan_in_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, shape)
 
 
-def init_se_weights(rng, d: int = D_FEATURE, ratio: int = SE_RATIO) -> SeWeights:
-    hidden = d // ratio
+def init_se_weights(rng) -> SeWeights:
+    d, hidden = D_FEATURE, D_FEATURE // SE_RATIO
     return SeWeights(w1=_fan_in_uniform(rng, (hidden, d), d),
                      b1=np.zeros(hidden),
                      w2=_fan_in_uniform(rng, (d, hidden), hidden),
@@ -491,17 +486,18 @@ def _init_tds(rng, width: int) -> TdsBlockWeights:
 def init_featurizer_weights(seed: int) -> FeaturizerWeights:
     rng = np.random.default_rng(seed)
     d = D_FEATURE
+    (k1, _), (k2, _), (k3, _), (k4, _) = _CONV_LAYOUT
     return FeaturizerWeights(
-        conv1_w=_fan_in_uniform(rng, (d, N_CHANNELS, 11), N_CHANNELS * 11),
+        conv1_w=_fan_in_uniform(rng, (d, N_CHANNELS, k1), N_CHANNELS * k1),
         conv1_b=np.zeros(d),
-        conv2_w=_fan_in_uniform(rng, (d, d, 5), d * 5),
+        conv2_w=_fan_in_uniform(rng, (d, d, k2), d * k2),
         conv2_b=np.zeros(d),
-        stage1_in_w=_fan_in_uniform(rng, (d, d, 9), d * 9),
+        stage1_in_w=_fan_in_uniform(rng, (d, d, k3), d * k3),
         stage1_in_b=np.zeros(d),
-        stage1_tds=_init_tds(rng, 5),
-        stage2_in_w=_fan_in_uniform(rng, (d, d, 3), d * 3),
+        stage1_tds=_init_tds(rng, _TDS_WIDTHS[0]),
+        stage2_in_w=_fan_in_uniform(rng, (d, d, k4), d * k4),
         stage2_in_b=np.zeros(d),
-        stage2_tds=_init_tds(rng, 3),
+        stage2_tds=_init_tds(rng, _TDS_WIDTHS[1]),
         se1=init_se_weights(rng),
         se2=init_se_weights(rng))
 

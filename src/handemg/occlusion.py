@@ -240,9 +240,7 @@ def vertex_visibility(camera_mesh: TriangleMesh, camera: PinholeCamera,
     return visible
 
 
-def self_occlusion_score(mesh: TriangleMesh, camera: PinholeCamera,
-                         epsilon_mm: float = EPSILON_MM,
-                         neighborhood: int = NEIGHBORHOOD) -> OcclusionReport:
+def self_occlusion_score(mesh: TriangleMesh, camera: PinholeCamera) -> OcclusionReport:
     """Area-weighted fraction of hidden vertices; deterministic."""
     weights = np.zeros(len(mesh.vertices))
     for corner in range(3):
@@ -252,7 +250,7 @@ def self_occlusion_score(mesh: TriangleMesh, camera: PinholeCamera,
         raise DegenerateGeometryError("mesh has zero surface area; s_occ undefined")
     cam_mesh = transform_to_camera(mesh, camera)
     buffer = rasterize_depth(cam_mesh, camera)
-    visible = vertex_visibility(cam_mesh, camera, buffer, epsilon_mm, neighborhood)
+    visible = vertex_visibility(cam_mesh, camera, buffer)
     s_occ = 1.0 - weights[visible].sum() / total
     return OcclusionReport(s_occ=float(s_occ), visible_vertex_flags=visible,
                            vertex_area_weights=weights, depth_buffer=buffer)

@@ -24,6 +24,13 @@ _MIN_HAND_VECTOR_MM = 1.0
 _RU_DEGENERACY_TOL = 1e-9
 
 
+def _finite_point(p, name: str) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError(f"{name} must be finite")
+    return p
+
+
 def _unit(v):
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
@@ -67,9 +74,9 @@ def forearm_frame(marker_a, marker_b, marker_c, handedness: str = "right") -> Fo
     F points from marker_a to marker_b; L is marker_a->marker_c orthogonalized
     against F; N completes the frame (flipped for the left hand).
     """
-    a = np.asarray(marker_a, dtype=float)
-    b = np.asarray(marker_b, dtype=float)
-    c = np.asarray(marker_c, dtype=float)
+    a = _finite_point(marker_a, "marker_a")
+    b = _finite_point(marker_b, "marker_b")
+    c = _finite_point(marker_c, "marker_c")
     ab, ac = b - a, c - a
     area = 0.5 * np.linalg.norm(np.cross(ab, ac))
     if area <= _MIN_TRIANGLE_AREA_MM2:
@@ -86,9 +93,7 @@ def forearm_frame(marker_a, marker_b, marker_c, handedness: str = "right") -> Fo
 
 def wrist_angles(frame: ForearmFrame, wrist_pt, middle_mcp_pt) -> WristAngles:
     """Wrist angles from the frame and the wrist -> middle-MCP direction."""
-    wrist_pt = np.asarray(wrist_pt, dtype=float)
-    middle_mcp_pt = np.asarray(middle_mcp_pt, dtype=float)
-    hand = middle_mcp_pt - wrist_pt
+    hand = _finite_point(middle_mcp_pt, "middle_mcp_pt") - _finite_point(wrist_pt, "wrist_pt")
     if np.linalg.norm(hand) <= _MIN_HAND_VECTOR_MM:
         raise DegenerateGeometryError("wrist and middle-MCP points (near-)coincide")
     h_hat = _unit(hand)

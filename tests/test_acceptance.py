@@ -90,8 +90,7 @@ def test_criterion_03_optimizer_oracle(capsys):
                 np.array([-2 * (1 - x) - 400 * x * (y - x * x),
                           200 * (y - x * x)]))
 
-    config = ik.IkConfig(outer_steps=100, loss_tolerance=0.0)
-    z, trace = ik.lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), config)
+    z, trace = ik.lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
     err = float(np.abs(z - 1.0).max())
     losses = np.array(trace.accepted_losses)
     monotone = bool(np.all(np.diff(losses) <= 0))

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from handemg import cli, datastore as ds, emg_dsp, occlusion
+from handemg import cli, datastore as ds, emg_dsp, errors, occlusion
 from handemg.errors import DataFormatError
 from handemg.hand_model import (JointAngles22, default_skeleton,
                                 forward_kinematics)
@@ -138,7 +138,11 @@ def test_wrist_command(capsys, tmp_path):
     ("fk", ",".join(["0"] * 21) + "\n"),                    # 21 angles, not 22
     ("fk", ",".join(["0"] * 21 + ["nan"]) + "\n"),          # non-finite angle
     ("wrist", "0,0,0\n0,0,x\n0,0,1\n1,0,0\n0,1,0\n"),   # unparsable value
-], ids=["fk-unparsable", "fk-21-columns", "fk-nan", "wrist-unparsable"])
+    ("wrist", "0,0,0\n0,0,-250\n40,0,-20\n0,0,0\nnan,0,90\n"),   # NaN middle MCP
+    ("wrist", "0,0,0\n0,0,-250\ninf,0,-20\n0,0,0\n0,0,90\n"),    # inf marker c
+    ("wrist", "0,0,0\n0,0,-250\n40,0,-20\n"),                     # 3 rows, not 5
+], ids=["fk-unparsable", "fk-21-columns", "fk-nan", "wrist-unparsable", "wrist-nan-mcp",
+        "wrist-inf-marker", "wrist-3-rows"])
 def test_malformed_csv_is_bad_input(capsys, tmp_path, command, text):
     csv = tmp_path / "in.csv"
     csv.write_text(text)
@@ -147,6 +151,32 @@ def test_malformed_csv_is_bad_input(capsys, tmp_path, command, text):
     code, out, err = _run(capsys, command, *option)
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith(f"error: bad-input: {csv}: ")
+
+
+@pytest.mark.parametrize("landmarks", [
+    np.zeros((0, 20, 3)),
+    np.zeros((4, 5, 3)),
+    np.zeros((2, 20)),
+    np.where(np.arange(120).reshape(2, 20, 3) == 77, np.nan, 1.0),
+], ids=["zero-frames", "5-landmarks", "2-d", "nan"])
+def test_malformed_landmarks_block_is_bad_input(capsys, tmp_path, landmarks):
+    path = tmp_path / "lm.egl"
+    ds.write_blocks(path, {"type": "landmarks"}, {"landmarks": landmarks})
+    code, out, err = _run(capsys, "ik", "--landmarks", str(path), "--out",
+                          str(tmp_path / "angles.egl"))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: bad-input: {path}: ")
+    assert not (tmp_path / "angles.egl").exists()
+
+
+@pytest.mark.parametrize("duration", ["inf", "-inf", "nan", "3.99"])
+def test_synth_rejects_a_duration_that_is_not_finite_and_at_least_4_s(
+        capsys, tmp_path, duration):
+    code, out, err = _run(capsys, "synth", f"--duration={duration}", "--out",
+                          str(tmp_path / "ep.egl"))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        "error: InvalidInputError: duration must be a finite number of at least 4 s")
 
 
 def test_occlude_command(capsys, tmp_path):
@@ -435,3 +465,72 @@ def test_malformed_manifest_is_bad_manifest(capsys, tmp_path, edit, info_fails):
         assert code == 2 and err.splitlines()[-1].startswith("error: bad-manifest:")
     else:
         assert code == 0
+
+
+# every kind a CLI input boundary documents (README), and the typed errors
+_CLI_ERROR_KINDS = {"bad-input", "bad-config", "bad-mesh", "bad-camera"} | {
+    cls.__name__ for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.HandEmgError)
+    and cls is not DataFormatError}
+
+
+def _text_mutations(text, rng, n_substitutions):
+    """Seeded corruptions of a text input: truncation at every character,
+    then single-character substitutions."""
+    for n in range(len(text)):
+        yield text[:n]
+    alphabet = "0123456789-+.eE,:#[]{}\n \"'abcfinvxyzINF"
+    for pos in rng.integers(0, len(text), n_substitutions):
+        yield text[:pos] + alphabet[rng.integers(len(alphabet))] + text[pos + 1:]
+
+
+def _text_input_cases(tmp_path):
+    """(name, valid text, argv, substitution count) for each text input of the
+    CLI; the argv reads the mutated text from `tmp_path / "input.txt"`."""
+    skeleton = default_skeleton()
+    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
+    angles = lo + (hi - lo) * np.random.default_rng(3).uniform(0.3, 0.7, size=(2, 22))
+    points = "0,0,0\n0,0,-250\n40,0,-20\n0,0,0\n10,15,85\n"
+    mesh = "v -50 -50 800\nv 50 -50 800\nv 0 50 800\nv -30 -40 400\nf 0 1 2\nf 0 3 1\n"
+    camera = ("fx: 45.0\nfy: 45.0\ncx: 32.0\ncy: 24.0\nwidth: 64\nheight: 48\n"
+              "rotation: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\ntranslation: [0, 0, 5]\n")
+    episode = tmp_path / "ep.egl"
+    ds.write_episode(ds.synth_episode(seed=0, duration_s=4.0), episode)
+    config = ("channel_dropout_p: 0.25\nn_freq_masks: 3\nmax_mask_bins: 128\n"
+              "noise_snr_db: [25.0, 35.0]\nnoise_p: 0.5\njitter_ms: 40.0\n")
+    path = tmp_path / "input.txt"
+    mesh_path, camera_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
+    mesh_path.write_text(mesh)
+    camera_path.write_text(camera)
+    out = str(tmp_path / "out.egl")
+    return [
+        ("fk --angles", "\n".join(",".join(f"{a:.4f}" for a in row) for row in angles),
+         ["fk", "--angles", str(path), "--out", out], 160),
+        ("wrist --points", points, ["wrist", "--points", str(path)], 160),
+        ("occlude --mesh", mesh, ["occlude", "--mesh", str(path), "--camera",
+                                  str(camera_path)], 160),
+        ("occlude --camera", camera, ["occlude", "--mesh", str(mesh_path), "--camera",
+                                      str(path)], 160),
+        ("augment-emg --config", config, ["augment-emg", "--config", str(path),
+                                          str(episode), "--out", out], 60),
+    ]
+
+
+def test_text_input_mutations_exit_0_or_2_with_a_documented_kind(capsys, tmp_path):
+    """Every truncated or corrupted CSV, mesh, camera or config input either
+    runs (exit 0) or fails with exit 2 and `error: <documented kind>:`."""
+    rng = np.random.default_rng(2027)
+    for name, text, argv, n_substitutions in _text_input_cases(tmp_path):
+        path = tmp_path / "input.txt"
+        outcomes = set()
+        for mutant in _text_mutations(text, rng, n_substitutions):
+            path.write_text(mutant)
+            code = cli.run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2), (name, mutant, err)
+            if code == 2:
+                last = err.splitlines()[-1]
+                assert last.startswith("error: "), (name, mutant, err)
+                assert last.split(":", 2)[1].strip() in _CLI_ERROR_KINDS, (name, mutant, err)
+            outcomes.add(code)
+        assert outcomes == {0, 2}, name

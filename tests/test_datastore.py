@@ -227,6 +227,12 @@ def test_extract_windows_too_short_warns():
         assert ds.extract_windows(ep) == []
 
 
+@pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan, 3.99])
+def test_synth_duration_must_be_finite_and_at_least_4_s(duration):
+    with pytest.raises(InvalidInputError, match="finite number of at least 4 s"):
+        ds.synth_episode(seed=0, duration_s=duration)
+
+
 def test_resample_extrapolation_rejected():
     t = np.arange(10.0)
     v = np.arange(10.0)[:, None]

@@ -310,6 +310,11 @@ def test_invalid_inputs(skeleton):
     bad[0] = np.nan
     with pytest.raises(InvalidInputError):
         hm.JointAngles22(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        points = np.zeros((20, 3))
+        points[7, 1] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            hm.LandmarkSet(points)
     for angles in (np.zeros((3, 21)), np.zeros(22), np.stack([np.zeros(22), bad])):
         with pytest.raises(InvalidInputError):
             hm.landmark_positions(skeleton, angles)

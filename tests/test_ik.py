@@ -10,7 +10,6 @@ from conftest import random_pose
 from handemg import ik
 from handemg.hand_model import (JointAngles22, LandmarkSet, forward_kinematics,
                                 landmark_positions, N_DOF)
-from handemg.errors import InvalidInputError
 
 
 def _rosenbrock(z):
@@ -48,8 +47,7 @@ def test_loss_gradient_matches_central_differences(skeleton):
 
 
 def test_lbfgs_rosenbrock():
-    config = ik.IkConfig(outer_steps=100, loss_tolerance=0.0)
-    z, trace = ik.lbfgs_minimize(_rosenbrock, np.array([-1.2, 1.0]), config)
+    z, trace = ik.lbfgs_minimize(_rosenbrock, np.array([-1.2, 1.0]))
     assert np.abs(z - 1.0).max() < 1e-6
     losses = np.array(trace.accepted_losses)
     assert np.all(np.diff(losses) <= 0)  # accepted losses never increase
@@ -61,8 +59,7 @@ def test_lbfgs_quadratic_fast():
     def quad(z):
         return 0.5 * z @ a @ z, a @ z
 
-    z, trace = ik.lbfgs_minimize(quad, np.array([1.0, 1.0, 1.0]),
-                                 ik.IkConfig(loss_tolerance=0.0))
+    z, trace = ik.lbfgs_minimize(quad, np.array([1.0, 1.0, 1.0]))
     assert np.abs(z).max() < 1e-7
     assert len(trace.accepted_losses) < 40
 
@@ -127,15 +124,11 @@ def test_batch_warm_start_chain(skeleton):
     assert all(np.sqrt(r.residual_mse) < 0.5 for r in res_a)
 
 
-def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        ik.IkConfig(outer_steps=0)
-    with pytest.raises(InvalidInputError):
-        ik.IkConfig(learning_rate=-1.0)
-    with pytest.raises(InvalidInputError):
-        ik.IkConfig(loss_tolerance=-0.1)
+def test_lbfgs_takes_no_config():
+    """The L-BFGS settings are module constants: no config object is taken."""
+    assert not hasattr(ik, "IkConfig")
     with pytest.raises(TypeError):
-        ik.IkConfig(chunk_size=3)
+        ik.lbfgs_minimize(_rosenbrock, np.array([-1.2, 1.0]), object())
 
 
 def _cut_sequence(skeleton, n_frames=24, cut=13):
@@ -207,9 +200,9 @@ def test_per_landmark_error_is_the_fk_distance(skeleton):
 def test_fit_takes_no_config(skeleton):
     targets = LandmarkSet(_cut_sequence(skeleton)[0])
     with pytest.raises(TypeError):
-        ik.fit_joint_angles(targets, skeleton, config=ik.IkConfig())
+        ik.fit_joint_angles(targets, skeleton, config=None)
     with pytest.raises(TypeError):
-        ik.fit_batch([targets], skeleton, config=ik.IkConfig())
+        ik.fit_batch([targets], skeleton, config=None)
 
 
 def test_accepted_warm_start_builds_no_other_start(skeleton, monkeypatch):

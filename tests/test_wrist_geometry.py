@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handemg import wrist_geometry as wg
-from handemg.errors import DegenerateGeometryError
+from handemg.errors import DegenerateGeometryError, InvalidInputError
 
 
 def _rand_frame(rng, handedness="right"):
@@ -89,3 +89,13 @@ def test_degenerate_geometry_raises():
     frame = wg.forearm_frame(a, b, c)
     with pytest.raises(DegenerateGeometryError):
         wg.wrist_angles(frame, a, a + 1e-9)    # coincident wrist/MCP
+
+
+@pytest.mark.parametrize("row, value", [(0, np.nan), (2, np.inf), (3, -np.inf), (4, np.nan)])
+def test_non_finite_points_are_rejected(row, value):
+    """Markers a, b, c, the wrist and the middle MCP must all be finite."""
+    points = np.array([[0.0, 0, 0], [0, 0, -250], [40, 0, -20], [0, 0, 0], [10, 15, 85]])
+    points[row, 1] = value
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        frame = wg.forearm_frame(*points[:3])
+        wg.wrist_angles(frame, points[3], points[4])
