@@ -71,8 +71,12 @@ def _echo_config(args):
 
 
 def _read_csv_matrix(path):
-    """The rows of a comma-separated numeric file; text that does not parse
-    as a numeric matrix is a `bad-input` data error."""
+    """The rows of a comma-separated numeric file; a file with no data (only
+    whitespace and `#` comments), or text that does not parse as a numeric
+    matrix, is a `bad-input` data error."""
+    with open(path, "rb") as f:
+        if not any(line.split(b"#", 1)[0].strip() for line in f):
+            raise DataFormatError("bad-input", f"{path}: no data")
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
@@ -181,8 +185,11 @@ def _cmd_ik(args):
     rms = np.sqrt(np.array([r.residual_mse for r in results]))
     datastore.write_blocks(args.out, {"type": "angles"},
                            {"angles": angles, "residual_rms_mm": rms})
+    steps = np.mean([r.iterations_used for r in results])
+    starts = np.mean([r.starts_used for r in results])
     print(f"wrote {args.out}: {len(results)} frames, "
-          f"mean RMS {rms.mean():.4f} mm, worst {rms.max():.4f} mm")
+          f"mean RMS {rms.mean():.4f} mm, worst {rms.max():.4f} mm, "
+          f"per frame {steps:.2f} LM steps from {starts:.2f} starts")
 
 
 def _read_mesh(path):

@@ -32,8 +32,9 @@ zero: landmarks sit at joint origins, with rigid tip bones supplying the
 fingertip points.
 
 Forward kinematics is one state function over an (N, 22) angle array
-(`landmark_positions`); the single-pose `forward_kinematics` and
-`landmark_jacobian` are its N = 1 case. It composes the tree one depth
+(`landmark_positions`, and `landmark_jacobians` with the analytic
+Jacobian); the single-pose `forward_kinematics` and `landmark_jacobian` are
+their N = 1 case. It composes the tree one depth
 level per step, all bones of a level at once: 7 steps for the default hand
 (the two wrist bones, then one bone per finger at each of levels 2-6). Each
 skeleton builds its tables once (`HandSkeleton._fk_tables`): the bones in
@@ -330,15 +331,20 @@ def _landmark_points(skeleton: HandSkeleton, origins, rotations) -> np.ndarray:
     return origins[:, slots] + (rotations[:, slots] @ tables.landmark_offsets)[..., 0]
 
 
-def landmark_positions(skeleton: HandSkeleton, angles) -> np.ndarray:
-    """Landmark positions (N, 20, 3), mm and wrist-relative, for an (N, 22)
-    array of joint angles in degrees."""
+def _angle_rows(angles) -> np.ndarray:
+    """`angles` as a finite (N, 22) float array."""
     values = np.asarray(angles, dtype=float)
     if values.ndim != 2 or values.shape[1] != N_DOF:
         raise InvalidInputError(f"expected (N, {N_DOF}) angles, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("joint angles must be finite")
-    origins, rotations, _, _ = _fk_state(skeleton, values)
+    return values
+
+
+def landmark_positions(skeleton: HandSkeleton, angles) -> np.ndarray:
+    """Landmark positions (N, 20, 3), mm and wrist-relative, for an (N, 22)
+    array of joint angles in degrees."""
+    origins, rotations, _, _ = _fk_state(skeleton, _angle_rows(angles))
     return _landmark_points(skeleton, origins, rotations)
 
 
@@ -347,19 +353,31 @@ def forward_kinematics(skeleton: HandSkeleton, angles: JointAngles22) -> Landmar
     return LandmarkSet(landmark_positions(skeleton, angles.values[None])[0])
 
 
+def landmark_jacobians(skeleton: HandSkeleton, angles):
+    """Landmarks and analytic FK Jacobians for an (N, 22) array of joint
+    angles in degrees.
+
+    Returns (points, jac) with points (N, 20, 3) mm and jac (N, 20, 3, 22) in
+    mm per degree: jac[n, i, :, j] = d points[n, i] / d angles[n, j].
+    """
+    origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, _angle_rows(angles))
+    points = _landmark_points(skeleton, origins, rotations)
+    # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian
+    rx, ry, rz = (points[:, :, c, None] - dof_origins[:, None, :, c] for c in range(3))
+    ax, ay, az = (dof_axes[:, None, :, c] for c in range(3))       # (N, 1, 22) each
+    jac = np.stack([ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx], axis=2)
+    jac *= skeleton.landmark_dof_mask[:, None, :] * (np.pi / 180.0)
+    return points, jac
+
+
 def landmark_jacobian(skeleton: HandSkeleton, angles: JointAngles22):
-    """Analytic FK Jacobian.
+    """Analytic FK Jacobian of one pose.
 
     Returns (points, jac) with points (20, 3) mm and jac (20, 3, 22) in
     mm per degree: jac[i, :, j] = d points[i] / d angles[j].
     """
-    origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, angles.values[None])
-    points = _landmark_points(skeleton, origins, rotations)[0]
-    # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian
-    rx, ry, rz = points.T[:, :, None] - dof_origins[0].T[:, None, :]   # (20, 22) each
-    ax, ay, az = dof_axes[0].T
-    jac = np.stack([ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx], axis=1)
-    return points, jac * skeleton.landmark_dof_mask[:, None, :] * (np.pi / 180.0)
+    points, jac = landmark_jacobians(skeleton, angles.values[None])
+    return points[0], jac[0]
 
 
 def mirror_pose(angles: JointAngles22) -> JointAngles22:

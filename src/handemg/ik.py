@@ -4,9 +4,13 @@ The 22 angles are fitted in an unconstrained space z through a sigmoid box
 reparameterization a = a_min + (a_max - a_min) * sigmoid(z), so every iterate
 stays strictly inside the joint limits. The fit is a least-squares problem:
 60 landmark coordinate residuals FK(a(z)) - targets (mm) over 22 unknowns,
-zero at the solution for clean targets. `fit_joint_angles` solves it with
-Levenberg-Marquardt on the analytic FK Jacobian, which converges
-quadratically near a zero-residual solution.
+zero at the solution for clean targets. `fit_batch` solves it for all of
+its frames in lockstep: one Levenberg-Marquardt on the analytic FK Jacobian,
+which converges quadratically near a zero-residual solution, runs every frame
+at once with per-frame damping and stopping, and the starting points are
+tried in rounds over the frames not yet fitted. Every product is a stacked
+matmul and every solve a batched one, so a frame's result depends only on its
+own targets. `fit_joint_angles` is the one-frame case.
 
 `lbfgs_minimize` is a general minimizer of any (loss, gradient) objective:
 L-BFGS with a strong Wolfe line search, at fixed settings (100 accepted
@@ -34,7 +38,7 @@ from .hand_model import (
     JointAngles22,
     LandmarkSet,
     forward_kinematics,  # unused here; benchmark/tests read ik.forward_kinematics
-    landmark_jacobian,
+    landmark_jacobians,
 )
 
 # classical strong Wolfe constants
@@ -61,19 +65,7 @@ class IkResult:
     per_landmark_error: np.ndarray      # (20,) mm
     converged: bool
     iterations_used: int                # Levenberg-Marquardt steps tried, all starts
-
-
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """Fixed scale/rotation/translation applied to targets before fitting."""
-
-    scale: float = 1.0
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.scale * points @ np.asarray(self.rotation, float).T + np.asarray(
-            self.translation, float)
+    starts_used: int                    # starting points solved from
 
 
 def _sigmoid(z):
@@ -106,22 +98,27 @@ def inverse_sigmoid_reparam(a, limits) -> np.ndarray:
     return np.log(t) - np.log1p(-t)
 
 
-def _residuals(z, targets: LandmarkSet, skeleton: HandSkeleton):
-    """The IK least-squares problem at z: the angles a(z), their landmarks
-    (20, 3), the residuals FK(a(z)) - targets (60,) and their z-Jacobian (60, 22)."""
+def _residuals(z, targets: np.ndarray, skeleton: HandSkeleton):
+    """The IK least-squares problem of N frames at z (N, 22) with targets
+    (N, 20, 3): the angles a(z), their landmarks (N, 20, 3), the residuals
+    FK(a(z)) - targets (N, 60) and their z-Jacobians (N, 60, 22)."""
     limits = skeleton.limits
     lo, span = limits[:, 0], limits[:, 1] - limits[:, 0]
     s = _sigmoid(z)
     angles = lo + span * s
-    points, jac = landmark_jacobian(skeleton, JointAngles22(angles))
-    residual = (points - targets.points).ravel()
-    jac_z = jac.reshape(N_LANDMARKS * 3, N_DOF) * (span * s * (1.0 - s))
+    points, jac = landmark_jacobians(skeleton, angles)
+    n = len(z)
+    residual = (points - targets).reshape(n, N_LANDMARKS * 3)
+    jac_z = jac.reshape(n, N_LANDMARKS * 3, N_DOF)
+    jac_z *= (span * s * (1.0 - s))[:, None]
     return angles, points, residual, jac_z
 
 
 def ik_loss_and_gradient(z, targets: LandmarkSet, skeleton: HandSkeleton):
     """Mean squared landmark error of FK(sigmoid_reparam(z)) and its z-gradient."""
-    _, _, residual, jac_z = _residuals(np.asarray(z, dtype=float), targets, skeleton)
+    _, _, residual, jac_z = _residuals(np.asarray(z, dtype=float)[None],
+                                       targets.points[None], skeleton)
+    residual, jac_z = residual[0], jac_z[0]
     return (float(residual @ residual) / N_LANDMARKS,
             2.0 / N_LANDMARKS * (residual @ jac_z))
 
@@ -277,132 +274,153 @@ _LM_DAMPING = 1e-4
 _LM_MAX_STEPS = 50
 _LM_EXACT_MSE = 1e-16
 _LM_STALL = 1e-6
+# frames solved in lockstep at most: the solve's working memory grows with
+# the frame count (about 55 kB per frame), and the time per frame stops
+# falling at about this many
+_BLOCK_FRAMES = 128
 
 
-def _lm_solve(z0, targets: LandmarkSet, skeleton: HandSkeleton):
-    """Levenberg-Marquardt on the landmark residuals FK(a(z)) - targets.
+def _normal_equations(z, targets: np.ndarray, skeleton: HandSkeleton):
+    """The angles, landmarks and squared error (N,) of N frames at z, with
+    the normal equations' J^T J (N, 22, 22) and J^T r (N, 22, 1), which are
+    stacked matmuls. J itself is dropped: it is the largest array of a step."""
+    angles, points, residual, jac = _residuals(z, targets, skeleton)
+    jac_t = jac.transpose(0, 2, 1)
+    return (angles, points, np.vecdot(residual, residual),
+            jac_t @ jac, jac_t @ residual[..., None])
 
-    Each step solves (J^T J + lam diag(J^T J)) dz = -J^T r with J the (60, 22)
-    z-space Jacobian. An accepted step (lower squared error) divides lam by 3,
-    a rejected one multiplies it by 4. Returns (angles, points, mse, converged,
-    steps): `angles` and `points` are those of the best evaluation, and `steps`
-    counts the steps tried, accepted or not.
+
+def _lm_solve(z0, targets: np.ndarray, skeleton: HandSkeleton):
+    """Levenberg-Marquardt on the landmark residuals FK(a(z)) - targets of N
+    frames at once, from starts z0 (N, 22) toward targets (N, 20, 3).
+
+    Each frame's step solves (J^T J + lam diag(J^T J)) dz = -J^T r with J its
+    (60, 22) z-space Jacobian. An accepted step (lower squared error) divides
+    that frame's lam by 3, a rejected one multiplies it by 4. A frame leaves
+    the active set when it converges or has spent its step budget. J^T J and
+    J^T r are stacked matmuls and the step a batched solve, so each frame's
+    arithmetic is the same as if it were solved alone. Returns per-frame
+    arrays (angles, points, mse, converged, steps): `angles` and `points` are
+    those of the best evaluation, and `steps` counts the steps tried,
+    accepted or not.
     """
     exact_cost = _LM_EXACT_MSE * N_LANDMARKS
-    z = np.asarray(z0, dtype=float)
-    angles, points, residual, jac = _residuals(z, targets, skeleton)
-    cost = float(residual @ residual)
-    damping = _LM_DAMPING
+    z = np.array(z0, dtype=float)
+    angles, points, cost, jtj, jtr = _normal_equations(z, targets, skeleton)
+    damping = np.full(len(z), _LM_DAMPING)
     converged = cost <= exact_cost
-    steps = 0
-    while not converged and steps < _LM_MAX_STEPS:
-        jtj = jac.T @ jac
+    steps = np.zeros(len(z), dtype=int)
+    diagonal = np.arange(N_DOF)
+    active = np.flatnonzero(~converged)
+    while active.size:
+        lhs = jtj[active]
         # floored so that a DoF moving no landmark still gets damped
-        scale = np.diag(jtj)
-        scale = np.maximum(scale, 1e-12 * scale.max())
-        z_new = z + np.linalg.solve(jtj + np.diag(damping * scale), -(jac.T @ residual))
-        steps += 1
-        evaluation = _residuals(z_new, targets, skeleton)
-        cost_new = float(evaluation[2] @ evaluation[2])
-        if not cost_new < cost:
-            damping *= 4.0
-            continue
-        converged = cost_new <= exact_cost or cost - cost_new <= _LM_STALL * cost
-        z, cost = z_new, cost_new
-        angles, points, residual, jac = evaluation
-        damping /= 3.0
+        scale = lhs[:, diagonal, diagonal]
+        scale = np.maximum(scale, 1e-12 * scale.max(axis=1, keepdims=True))
+        lhs[:, diagonal, diagonal] += damping[active, None] * scale
+        dz = np.linalg.solve(lhs, -jtr[active])[..., 0]
+        steps[active] += 1
+        trial = _normal_equations(z[active] + dz, targets[active], skeleton)
+        better = trial[2] < cost[active]
+        damping[active[~better]] *= 4.0
+        accepted, cost_old, cost_new = active[better], cost[active[better]], trial[2][better]
+        converged[accepted] = ((cost_new <= exact_cost)
+                               | (cost_old - cost_new <= _LM_STALL * cost_old))
+        z[accepted] += dz[better]
+        angles[accepted], points[accepted], cost[accepted], jtj[accepted], jtr[accepted] = (
+            value[better] for value in trial)
+        damping[accepted] /= 3.0
+        active = active[~converged[active] & (steps[active] < _LM_MAX_STEPS)]
     return angles, points, cost / N_LANDMARKS, converged, steps
 
 
-def _inside_z(angles: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """z of `angles` pulled 1% inside the limits, where the inverse map is defined."""
-    lo, hi = limits[:, 0], limits[:, 1]
-    pad = 0.01 * (hi - lo)
-    return inverse_sigmoid_reparam(np.clip(angles, lo + pad, hi - pad), limits)
-
-
-def _wrist_aligned_start(targets: LandmarkSet, skeleton: HandSkeleton) -> np.ndarray:
-    """Mid-range pose with the wrist set by rotation-only Procrustes.
+def _wrist_aligned_start(targets: np.ndarray, skeleton: HandSkeleton) -> np.ndarray:
+    """Mid-range poses (N, 22) in z with the wrist set by rotation-only
+    Procrustes on targets (N, 20, 3).
 
     The base-knuckle landmarks are rigid with respect to the finger DoFs, so
     the best-fit rotation of their rest positions onto the targets estimates
-    the two wrist angles in closed form. Degenerate cases fall back to the
-    mid-range wrist.
+    the two wrist angles in closed form, one stacked SVD for all frames.
+    Degenerate cases fall back to the mid-range wrist.
     """
     limits = skeleton.limits
     lo, hi = limits[:, 0], limits[:, 1]
-    start = limits.mean(axis=1)
+    start = np.tile(limits.mean(axis=1), (len(targets), 1))
     rigid, rest = skeleton.wrist_rigid_rest
     if len(rigid) >= 3:
-        tgt = targets.points[rigid]
-        u, _, vt = np.linalg.svd(rest.T @ tgt)
-        d = np.sign(np.linalg.det(vt.T @ u.T))
-        rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+        u, _, vt = np.linalg.svd(rest.T @ targets[:, rigid])
+        v, u_t = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+        # a reflection flips the last singular direction: V diag(1, 1, d) U^T
+        v[:, :, 2] *= np.sign(np.linalg.det(v @ u_t))[:, None]
+        rot = v @ u_t
         # decompose as deviation-about-z composed with flexion-about-x
-        ru = np.degrees(np.arctan2(rot[1, 0], rot[0, 0]))
-        fe = np.degrees(np.arctan2(rot[2, 1], rot[2, 2]))
-        if np.isfinite(fe) and np.isfinite(ru):
-            start[WRIST_FE] = np.clip(fe, lo[WRIST_FE], hi[WRIST_FE])
-            start[WRIST_RU] = np.clip(ru, lo[WRIST_RU], hi[WRIST_RU])
-    return _inside_z(start, limits)
+        ru = np.degrees(np.arctan2(rot[:, 1, 0], rot[:, 0, 0]))
+        fe = np.degrees(np.arctan2(rot[:, 2, 1], rot[:, 2, 2]))
+        ok = np.isfinite(fe) & np.isfinite(ru)
+        start[ok, WRIST_FE] = np.clip(fe[ok], lo[WRIST_FE], hi[WRIST_FE])
+        start[ok, WRIST_RU] = np.clip(ru[ok], lo[WRIST_RU], hi[WRIST_RU])
+    # pulled 1% inside the limits, where the inverse map is defined
+    pad = 0.01 * (hi - lo)
+    return inverse_sigmoid_reparam(np.clip(start, lo + pad, hi - pad), limits)
 
 
-def _starts(targets: LandmarkSet, skeleton: HandSkeleton,
-            warm_start: JointAngles22 | None):
-    """Candidate z starts in fit order, each built only when it is asked for."""
-    if warm_start is not None:
-        yield _inside_z(warm_start.values, skeleton.limits)
+def fit_batch(target_sequences, skeleton: HandSkeleton, handedness: str = "right"):
+    """Recover 22 joint angles per frame whose FK landmarks match each
+    LandmarkSet of `target_sequences` (mm), all frames in lockstep.
+
+    Starting points are tried in rounds: the wrist-aligned mid-range pose,
+    the mid-range pose, then a fixed set of seeded perturbations of the
+    first. Each round solves only the frames whose best residual is not yet
+    acceptable, and each frame keeps its best solve. A frame's result depends
+    only on its own targets: it is the same, bit for bit, whether a sequence
+    is fitted whole, frame by frame or in chunks, and from call to call.
+    `handedness` only labels the returned angles: the fit uses `skeleton` as is.
+    """
+    frames = list(target_sequences)
+    if len(frames) > _BLOCK_FRAMES:
+        return [result for first in range(0, len(frames), _BLOCK_FRAMES)
+                for result in fit_batch(frames[first:first + _BLOCK_FRAMES], skeleton,
+                                        handedness)]
+    targets = np.array([t.points for t in frames]).reshape(-1, N_LANDMARKS, 3)
+    n = len(targets)
     z_aligned = _wrist_aligned_start(targets, skeleton)
-    yield z_aligned
-    yield np.zeros(N_DOF)
     restart_rng = np.random.Generator(np.random.Philox(key=0))
-    for _ in range(_N_PERTURBED_RESTARTS):
-        yield z_aligned + restart_rng.normal(size=N_DOF) * _RESTART_SIGMA
+    kicks = restart_rng.normal(size=(_N_PERTURBED_RESTARTS, N_DOF)) * _RESTART_SIGMA
+    rounds = [z_aligned, np.zeros_like(z_aligned)] + [z_aligned + kick for kick in kicks]
+
+    best_angles, best_points = np.empty((n, N_DOF)), np.empty((n, N_LANDMARKS, 3))
+    best_mse = np.full(n, np.inf)
+    converged = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=int)
+    starts = np.zeros(n, dtype=int)
+    pending = np.arange(n)
+    for z_start in rounds:
+        if not pending.size:
+            break
+        angles, points, mse, solved, used = _lm_solve(z_start[pending], targets[pending],
+                                                      skeleton)
+        steps[pending] += used
+        starts[pending] += 1
+        better = mse < best_mse[pending]
+        improved = pending[better]
+        best_angles[improved], best_points[improved] = angles[better], points[better]
+        best_mse[improved], converged[improved] = mse[better], solved[better]
+        pending = pending[best_mse[pending] > _ACCEPT_MSE]
+
+    results = []
+    for k in range(n):
+        per_landmark = np.linalg.norm(best_points[k] - targets[k], axis=1)
+        results.append(IkResult(angles=JointAngles22(best_angles[k], handedness=handedness),
+                                residual_mse=float(np.mean(per_landmark ** 2)),
+                                per_landmark_error=per_landmark,
+                                converged=bool(converged[k]),
+                                iterations_used=int(steps[k]),
+                                starts_used=int(starts[k])))
+    return results
 
 
 def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
-                     warm_start: JointAngles22 | None = None,
-                     alignment: SimilarityTransform | None = None,
                      handedness: str = "right") -> IkResult:
-    """Recover 22 joint angles whose FK landmarks match `targets` (mm).
-
-    Starting points are tried in order (warm start if given, wrist-aligned
-    mid-range pose, mid-range pose, then a fixed set of seeded perturbations)
-    until the residual is acceptable; the best solve is returned either way.
-    The candidates are deterministic, so repeated calls are bit-identical.
-    `handedness` only labels the returned angles: the fit uses `skeleton` as is.
-    """
-    if alignment is not None:
-        targets = LandmarkSet(alignment.apply(targets.points))
-    best = None
-    iterations_total = 0
-    for z0 in _starts(targets, skeleton, warm_start):
-        angles, points, mse, converged, steps = _lm_solve(z0, targets, skeleton)
-        iterations_total += steps
-        if best is None or mse < best[2]:
-            best = (angles, points, mse, converged)
-        if best[2] <= _ACCEPT_MSE:
-            break
-
-    angles, points, _, converged = best
-    per_landmark = np.linalg.norm(points - targets.points, axis=1)
-    return IkResult(angles=JointAngles22(angles, handedness=handedness),
-                    residual_mse=float(np.mean(per_landmark ** 2)),
-                    per_landmark_error=per_landmark,
-                    converged=bool(converged),
-                    iterations_used=iterations_total)
-
-
-def fit_batch(target_sequences, skeleton: HandSkeleton,
-              alignment: SimilarityTransform | None = None,
-              handedness: str = "right"):
-    """Fit a landmark sequence frame by frame, warm-starting each frame from
-    the previous frame's angles."""
-    results = []
-    warm = None
-    for targets in target_sequences:
-        result = fit_joint_angles(targets, skeleton, warm_start=warm,
-                                  alignment=alignment, handedness=handedness)
-        results.append(result)
-        warm = result.angles
-    return results
+    """Recover 22 joint angles whose FK landmarks match `targets` (mm): the
+    one-frame case of `fit_batch`."""
+    return fit_batch([targets], skeleton, handedness=handedness)[0]

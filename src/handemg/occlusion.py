@@ -41,6 +41,8 @@ _NEAR_Z_MM = 1e-6
 _MIN_TRIANGLE_AREA_MM2 = 1e-9
 # (triangle, pixel) pairs the rasterizer evaluates at once
 _CHUNK_PIXELS = 1 << 14
+# largest image a camera may declare: its float64 depth buffer is 128 MiB
+MAX_PIXELS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ class PinholeCamera:
         for n in (self.width, self.height):
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise InvalidInputError(f"resolution must be positive integers, got {n!r}")
+        if int(self.width) * int(self.height) > MAX_PIXELS:
+            raise InvalidInputError(f"resolution {self.width}x{self.height} exceeds "
+                                    f"{MAX_PIXELS} pixels")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)

@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,9 @@ def test_fk_ik_roundtrip(capsys, tmp_path):
     code, out, _ = _run(capsys, "ik", "--landmarks", str(lm), "--out",
                         str(solved))
     assert code == 0
+    steps, starts = re.search(r"per frame ([\d.]+) LM steps from ([\d.]+) starts$",
+                              out.strip()).groups()
+    assert float(steps) >= 1.0 and starts == "1.00"
     _, fit = ds.read_blocks(solved)
     assert fit["angles"].shape == (3, 22)
     assert fit["residual_rms_mm"].max() < 0.5
@@ -151,6 +156,25 @@ def test_malformed_csv_is_bad_input(capsys, tmp_path, command, text):
     code, out, err = _run(capsys, command, *option)
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith(f"error: bad-input: {csv}: ")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("fk", ""), ("fk", " \n\t\n"), ("fk", "# angles\n  # none yet\n"), ("wrist", ""),
+], ids=["fk-empty", "fk-whitespace", "fk-comments-only", "wrist-empty"])
+def test_empty_csv_is_one_bad_input_line(capsys, tmp_path, command, text):
+    """An empty input is rejected before numpy parses it: no warning, only the
+    documented error line after the config echo."""
+    csv = tmp_path / "in.csv"
+    csv.write_text(text)
+    option = {"fk": ("--angles", str(csv), "--out", str(tmp_path / "lm.egl")),
+              "wrist": ("--points", str(csv))}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, command, *option)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("config: ")
+    assert lines[1:] == [f"error: bad-input: {csv}: no data"]
 
 
 @pytest.mark.parametrize("landmarks", [
@@ -221,10 +245,12 @@ _CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
     (_MESH, {"width": '"x"'}, "bad-camera: {camera}: resolution must"),
     (_MESH, {"width": "64.7"}, "bad-camera: {camera}: resolution must"),
     (_MESH, {"height": "true"}, "bad-camera: {camera}: resolution must"),
+    (_MESH, {"width": "100000", "height": "100000"},
+     "bad-camera: {camera}: resolution 100000x100000 exceeds"),
 ], ids=["face-float-index", "vertex-not-a-number", "face-index-overflow",
         "face-index-out-of-range", "vertex-nan", "vertex-inf", "fx-string", "fx-nan",
         "fx-null", "rotation-two-values", "translation-inf", "width-string",
-        "width-float", "height-bool"])
+        "width-float", "height-bool", "too-many-pixels"])
 def test_malformed_mesh_or_camera_exit_2(capsys, tmp_path, mesh, camera, detail):
     mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
     mesh_path.write_text(mesh)

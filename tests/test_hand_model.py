@@ -62,6 +62,11 @@ def test_landmark_positions_matches_single_pose_fk(skeleton):
     single = np.stack([hm.forward_kinematics(skeleton, hm.JointAngles22(p)).points
                        for p in poses])
     assert np.array_equal(batch, single)
+    points, jac = hm.landmark_jacobians(skeleton, poses)
+    assert np.array_equal(points, single)
+    for pose, pose_jac in zip(poses, jac):
+        assert np.array_equal(hm.landmark_jacobian(skeleton, hm.JointAngles22(pose))[1],
+                              pose_jac)
 
 
 def _loop_fk(skeleton, values):
@@ -318,3 +323,5 @@ def test_invalid_inputs(skeleton):
     for angles in (np.zeros((3, 21)), np.zeros(22), np.stack([np.zeros(22), bad])):
         with pytest.raises(InvalidInputError):
             hm.landmark_positions(skeleton, angles)
+        with pytest.raises(InvalidInputError):
+            hm.landmark_jacobians(skeleton, angles)

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_pose
 from handemg import ik
 from handemg.hand_model import (JointAngles22, LandmarkSet, forward_kinematics,
-                                landmark_positions, N_DOF)
+                                landmark_positions, N_DOF, WRIST_FE, WRIST_RU)
 
 
 def _rosenbrock(z):
@@ -86,42 +86,6 @@ def test_fit_is_deterministic(skeleton):
     b = ik.fit_joint_angles(targets, skeleton)
     assert np.array_equal(a.angles.values, b.angles.values)
     assert a.residual_mse == b.residual_mse
-
-
-def test_alignment_transform(skeleton):
-    """A known similarity transform on targets is undone before fitting."""
-    from handemg.hand_model import rodrigues
-    rng = np.random.default_rng(4)
-    truth = random_pose(rng, skeleton)
-    points = forward_kinematics(skeleton, JointAngles22(truth)).points
-    r = rodrigues(np.array([0.0, 1.0, 0.0]), 40.0)
-    scale, t = 1.3, np.array([10.0, -20.0, 5.0])
-    moved = (points - t[None]) @ r / scale  # inverse of the declared transform
-    align = ik.SimilarityTransform(scale=scale, rotation=r, translation=t)
-    result = ik.fit_joint_angles(LandmarkSet(moved), skeleton, alignment=align)
-    assert np.sqrt(result.residual_mse) < 0.5
-
-
-def test_batch_warm_start_chain(skeleton):
-    """fit_batch is exactly a loop warm-starting each frame from the last."""
-    rng = np.random.default_rng(5)
-    start = random_pose(rng, skeleton)
-    end = random_pose(rng, skeleton)
-    frames = [LandmarkSet(forward_kinematics(
-        skeleton, JointAngles22(start + (end - start) * s)).points)
-        for s in np.linspace(0, 1, 8)]
-    res_a = ik.fit_batch(frames, skeleton)
-    res_b, previous = [], None
-    for frame in frames:
-        previous = ik.fit_joint_angles(
-            frame, skeleton,
-            warm_start=None if previous is None else previous.angles)
-        res_b.append(previous)
-    assert len(res_a) == len(res_b)
-    for a, b in zip(res_a, res_b):
-        assert np.array_equal(a.angles.values, b.angles.values)
-        assert a.residual_mse == b.residual_mse
-    assert all(np.sqrt(r.residual_mse) < 0.5 for r in res_a)
 
 
 def test_lbfgs_takes_no_config():
@@ -205,45 +169,106 @@ def test_fit_takes_no_config(skeleton):
         ik.fit_batch([targets], skeleton, config=None)
 
 
-def test_accepted_warm_start_builds_no_other_start(skeleton, monkeypatch):
-    """Starts are built lazily: a frame its warm start solves never pays for
+def test_fit_batch_is_independent_of_chunking(skeleton, monkeypatch):
+    """Each frame's result depends only on its own targets: a sequence fitted
+    whole, one frame at a time or in chunks of 5 gives the same bytes, and so
+    does a sequence longer than the lockstep block. Noise on some frames
+    sends them through the later start rounds."""
+    targets = _cut_sequence(skeleton)
+    targets[3::7] += np.random.default_rng(15).normal(scale=1.0, size=targets[3::7].shape)
+    frames = [LandmarkSet(t) for t in targets]
+
+    def fitted(chunk):
+        results = []
+        for i in range(0, len(frames), chunk):
+            results += ik.fit_batch(frames[i:i + chunk], skeleton)
+        return [r.angles.values.tobytes() + r.per_landmark_error.tobytes()
+                + np.float64(r.residual_mse).tobytes() for r in results]
+
+    whole = fitted(len(frames))
+    assert len(whole) == 24
+    assert [r.starts_used > 1 for r in ik.fit_batch(frames, skeleton)] == [
+        i % 7 == 3 for i in range(24)]
+    assert fitted(1) == whole
+    assert fitted(5) == whole
+    monkeypatch.setattr(ik, "_BLOCK_FRAMES", 7)
+    assert fitted(len(frames)) == whole
+
+
+def test_frame_accepted_in_first_round_joins_no_later_round(skeleton, monkeypatch):
+    """Only frames whose best residual is still unacceptable are solved again."""
+    targets = _cut_sequence(skeleton, n_frames=6, cut=3)
+    # frames 1 and 4 three times as far from the wrist: no pose reaches them
+    targets[[1, 4]] *= 3.0
+    rounds = []
+    solve = ik._lm_solve
+    monkeypatch.setattr(ik, "_lm_solve",
+                        lambda z0, tgt, *args: rounds.append(tgt.copy()) or solve(z0, tgt, *args))
+    results = ik.fit_batch([LandmarkSet(t) for t in targets], skeleton)
+    assert len(rounds) == 2 + ik._N_PERTURBED_RESTARTS
+    assert np.array_equal(rounds[0], targets)
+    for later in rounds[1:]:
+        assert np.array_equal(later, targets[[1, 4]])
+    assert [r.starts_used for r in results] == [1, 6, 1, 1, 6, 1]
+    assert all(r.iterations_used > 0 for r in results)
+
+
+def test_unreachable_targets_try_every_start_in_order(skeleton, monkeypatch):
+    """Wrist-aligned start, mid-range start, then the seeded perturbations of
     the wrist-aligned start."""
-    calls = []
-    aligned = ik._wrist_aligned_start
-    monkeypatch.setattr(ik, "_wrist_aligned_start",
-                        lambda *args: calls.append(args) or aligned(*args))
-    frames = [LandmarkSet(t) for t in _cut_sequence(skeleton)]
-    first = ik.fit_joint_angles(frames[0], skeleton)
-    assert len(calls) == 1      # a cold frame starts from the wrist alignment
-    result = ik.fit_joint_angles(frames[1], skeleton, warm_start=first.angles)
-    assert result.residual_mse <= ik._ACCEPT_MSE
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("warm", [True, False], ids=["warm", "no-warm"])
-def test_unreachable_targets_try_every_start_in_order(skeleton, monkeypatch, warm):
-    """Warm start (pulled 1% inside the limits), wrist-aligned start, mid-range
-    start, then the seeded perturbations of the wrist-aligned start."""
     rng = np.random.default_rng(13)
     # every landmark three times as far from the wrist: no pose reaches them
     targets = LandmarkSet(3.0 * forward_kinematics(
         skeleton, JointAngles22(random_pose(rng, skeleton))).points)
-    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
     starts = []
     solve = ik._lm_solve
     monkeypatch.setattr(ik, "_lm_solve",
-                        lambda z0, *args: starts.append(z0) or solve(z0, *args))
-    result = ik.fit_joint_angles(targets, skeleton,
-                                 warm_start=JointAngles22(hi) if warm else None)
+                        lambda z0, *args: starts.append(z0[0]) or solve(z0, *args))
+    result = ik.fit_joint_angles(targets, skeleton)
     assert result.residual_mse > ik._ACCEPT_MSE
-    z_aligned = ik._wrist_aligned_start(targets, skeleton)
+    assert result.starts_used == len(starts)
+    z_aligned = ik._wrist_aligned_start(targets.points[None], skeleton)[0]
     restart_rng = np.random.Generator(np.random.Philox(key=0))
     expected = [z_aligned, np.zeros(N_DOF)] + [
         z_aligned + restart_rng.normal(size=N_DOF) * ik._RESTART_SIGMA
         for _ in range(ik._N_PERTURBED_RESTARTS)]
-    if warm:
-        expected.insert(0, ik.inverse_sigmoid_reparam(hi - 0.01 * (hi - lo),
-                                                      skeleton.limits))
-    assert len(starts) == len(expected) == (7 if warm else 6)
+    assert len(starts) == len(expected) == 6
     for got, want in zip(starts, expected):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("noise_mm", [0.3, 1.0])
+def test_noisy_targets_fit_no_worse_than_the_true_pose(skeleton, noise_mm):
+    """On noisy targets no pose fits exactly, and the later start rounds run;
+    each frame's fit is still at least as close as the pose that made them."""
+    truth = _cut_sequence(skeleton, n_frames=12, cut=7)
+    rng = np.random.default_rng(14)
+    noisy = truth + rng.normal(scale=noise_mm, size=truth.shape)
+    results = ik.fit_batch([LandmarkSet(t) for t in noisy], skeleton)
+    true_rms = np.sqrt(np.mean(np.sum((truth - noisy) ** 2, axis=2), axis=1))
+    fit_rms = np.sqrt([r.residual_mse for r in results])
+    assert np.all(fit_rms <= true_rms + 1e-6)
+    if noise_mm == 1.0:
+        assert all(r.starts_used > 1 for r in results)
+
+
+def test_wrist_aligned_start_matches_per_frame_procrustes(skeleton):
+    """The stacked SVD gives each frame the start of the one-frame Procrustes."""
+    targets = _cut_sequence(skeleton)
+    targets[5] = targets[5] @ np.diag([-1.0, 1.0, 1.0])    # a mirrored frame: d = -1
+    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
+    rigid, rest = skeleton.wrist_rigid_rest
+    expected = []
+    for frame in targets:
+        u, _, vt = np.linalg.svd(rest.T @ frame[rigid])
+        d = np.sign(np.linalg.det(vt.T @ u.T))
+        rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+        start = skeleton.limits.mean(axis=1)
+        start[WRIST_RU] = np.clip(np.degrees(np.arctan2(rot[1, 0], rot[0, 0])),
+                                  lo[WRIST_RU], hi[WRIST_RU])
+        start[WRIST_FE] = np.clip(np.degrees(np.arctan2(rot[2, 1], rot[2, 2])),
+                                  lo[WRIST_FE], hi[WRIST_FE])
+        pad = 0.01 * (hi - lo)
+        expected.append(ik.inverse_sigmoid_reparam(np.clip(start, lo + pad, hi - pad),
+                                                   skeleton.limits))
+    assert np.array_equal(ik._wrist_aligned_start(targets, skeleton), np.array(expected))

@@ -170,6 +170,11 @@ def test_validation_errors():
     for width in (64.7, 64.0, True, 0):
         with pytest.raises(InvalidInputError):
             occ.PinholeCamera(**dict(good, width=width))
+    # the pixel bound: 4096 x 4096 is the largest square image
+    occ.PinholeCamera(**dict(good, width=4096, height=4096))
+    for width, height in ((4096, 4097), (100000, 100000), (np.int64(2) ** 40, 2 ** 40)):
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            occ.PinholeCamera(**dict(good, width=width, height=height))
     # finite vertices whose projection overflows a float
     with np.errstate(over="ignore"):
         far = occ.TriangleMesh(np.array([[1e308, 0.0, 1e-3], [0.0, 1.0, 1.0],
