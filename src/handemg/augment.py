@@ -210,8 +210,9 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
     Each entry of applied_ops is a dict with an "op" name plus the draws that
     parameterized it, sufficient to audit (or re-apply) the perturbation.
     """
-    if hand_scale_mm <= 0:
-        raise InvalidInputError("hand_scale_mm must be positive")
+    if not (_is_number(hand_scale_mm) and hand_scale_mm > 0):
+        raise InvalidInputError(f"hand_scale_mm must be a finite positive number, "
+                                f"got {hand_scale_mm!r}")
     if skeleton_graph.n_nodes != N_MARKERS:
         raise InvalidInputError("marker graph must have 21 nodes")
     applied = []

@@ -26,7 +26,7 @@ import numpy as np
 from .emg_dsp import DEFAULT_SAMPLE_RATE, EmgWindow
 from .errors import DataFormatError, InvalidInputError
 from .graph_features import N_MARKERS
-from .hand_model import N_DOF
+from .hand_model import N_DOF, default_skeleton
 from .model_core import FRAME_STRIDE, MIN_INPUT_SAMPLES, featurizer_lengths
 from .occlusion import PinholeCamera
 
@@ -129,12 +129,9 @@ class WindowSample:
 
     emg: EmgWindow
     offset: int
-    center_index: int                  # sample index within the window
     frame_timestamps_ms: np.ndarray    # (F,)
     pose_frames_left: np.ndarray       # (F, 22)
     pose_frames_right: np.ndarray
-    center_pose_left: np.ndarray       # (22,)
-    center_pose_right: np.ndarray
 
 
 def feature_frame_indices(length: int) -> np.ndarray:
@@ -157,8 +154,7 @@ def extract_windows(episode: Episode, stride: int | None = None):
         warnings.warn(f"episode of {total} samples is shorter than the "
                       f"{length}-sample window; no windows extracted")
         return []
-    center = length // 2
-    sample_idx = np.append(feature_frame_indices(length), center)   # frames, then centre
+    sample_idx = feature_frame_indices(length)
     poses = np.stack([episode.pose_left, episode.pose_right], axis=1)   # (P, 2, 22)
     windows = []
     for offset in range(0, total - length + 1, stride):
@@ -166,9 +162,8 @@ def extract_windows(episode: Episode, stride: int | None = None):
         at = resample_to_timeline(episode.pose_timestamps_ms, poses, times)
         windows.append(WindowSample(
             emg=replace(episode.emg, samples=episode.emg.samples[offset:offset + length]),
-            offset=offset, center_index=center, frame_timestamps_ms=times[:-1],
-            pose_frames_left=at[:-1, 0], pose_frames_right=at[:-1, 1],
-            center_pose_left=at[-1, 0], center_pose_right=at[-1, 1]))
+            offset=offset, frame_timestamps_ms=times,
+            pose_frames_left=at[:, 0], pose_frames_right=at[:, 1]))
     return windows
 
 
@@ -256,8 +251,6 @@ def synth_episode(seed: int, duration_s: float,
     function of the summed joint speeds, plus 50 Hz line interference, so
     filtering and featurizing have something real to find.
     """
-    from .hand_model import default_skeleton  # deferred: heavy asset load
-
     if not (math.isfinite(duration_s) and duration_s >= 4.0):
         raise InvalidInputError(f"duration must be a finite number of at least 4 s, "
                                 f"got {duration_s}")

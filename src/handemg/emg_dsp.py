@@ -69,10 +69,6 @@ class EmgWindow:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FilterMask:

@@ -3,9 +3,8 @@
 The headline metric is mean absolute error over joint angles in degrees.
 Aggregation order is part of the protocol: per-user MAE is computed first
 and then averaged unweighted across users (population std backs the +-
-columns), while the cross-split average weights each split by its sample
-count. Per-finger and per-phalanx groupings follow the 22-DoF layout; the
-phalanx membership (thumb CMC counted as proximal, thumb MCP as
+columns). Per-finger and per-phalanx groupings follow the 22-DoF layout;
+the phalanx membership (thumb CMC counted as proximal, thumb MCP as
 mid-phalanx, thumb IP as distal) is a declared convention.
 """
 
@@ -80,14 +79,3 @@ def per_user_aggregate(errors, user_ids):
                 for u in np.unique(user_ids)}
     values = np.array(list(user_mae.values()))
     return float(values.mean()), float(values.std()), user_mae
-
-
-def weighted_avg(split_results) -> float:
-    """Sample-count-weighted mean MAE across splits.
-
-    `split_results` maps split name -> (mae_degrees, n_samples).
-    """
-    total = sum(n for _, n in split_results.values())
-    if total <= 0:
-        raise InvalidInputError("zero total samples across splits")
-    return float(sum(m * n for m, n in split_results.values()) / total)

@@ -394,12 +394,6 @@ def mirror_pose(angles: JointAngles22) -> JointAngles22:
     return JointAngles22(values, handedness=other)
 
 
-def clamp_to_limits(angles: JointAngles22, skeleton: HandSkeleton) -> JointAngles22:
-    """Clamp every angle into its [a_min, a_max] interval."""
-    clamped = np.clip(angles.values, skeleton.limits[:, 0], skeleton.limits[:, 1])
-    return JointAngles22(clamped, handedness=angles.handedness)
-
-
 # ---------------------------------------------------------------------------
 # skeleton config-file persistence
 

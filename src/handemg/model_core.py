@@ -2,10 +2,10 @@
 
 Covers the TDS convolutional featurizer (16-channel, 2 kHz EMG to a 256-d
 sequence at ~37.5 Hz), squeeze-and-excitation gating, a pre-norm transformer
-with rotary positional encoding, the per-frame pose head, temporal attention
-pooling, and the residual vision/EMG fusion combiner. No training: weights
-are supplied externally or drawn from a seeded fan-in initializer, and every
-pass is a pure function of (input, weights).
+with rotary positional encoding, the per-frame pose head, and the residual
+vision/EMG fusion combiner. No training: weights are supplied externally or
+drawn from a seeded fan-in initializer, and every pass is a pure function of
+(input, weights).
 
 Architecture constants follow the published layer list: Conv1d 16->256 k11 s5,
 Conv1d 256->256 k5 s2, then two TDS stages (in-conv k9 s5 / k3 s1, depthwise
@@ -27,7 +27,7 @@ import numpy as np
 
 from .emg_dsp import EmgWindow, N_CHANNELS
 from .errors import ConfigurationError, InvalidInputError
-from .hand_model import N_DOF, landmark_positions
+from .hand_model import N_DOF
 
 D_FEATURE = 256
 SE_RATIO = 4
@@ -334,9 +334,9 @@ def _layer_norm(x, gamma, beta, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
 
 
-def _softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def multi_head_attention(x: np.ndarray, layer: LayerWeights,
@@ -355,14 +355,13 @@ def multi_head_attention(x: np.ndarray, layer: LayerWeights,
     k = rope_apply(split(x @ layer.wk.T + layer.bk), positions)
     v = split(x @ layer.wv.T + layer.bv)
     scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
-    probs = _softmax(scores, axis=-1)
+    probs = _softmax(scores)
     mixed = (probs @ v).transpose(1, 0, 2).reshape(n_frames, config.d_model)
     return mixed @ layer.wo.T + layer.bo, probs
 
 
 def transformer_forward(features: FeatureSequence, config: TransformerConfig,
-                        weights: TransformerWeights,
-                        return_attention: bool = False):
+                        weights: TransformerWeights) -> FeatureSequence:
     """Pre-norm transformer over the feature sequence; (d_in, T) -> (d_model, T)."""
     x = features.data.T                                      # (T, d_in)
     if x.shape[1] != config.d_model:
@@ -374,22 +373,18 @@ def transformer_forward(features: FeatureSequence, config: TransformerConfig,
     if len(weights.layers) != config.n_layers:
         raise ConfigurationError("layer count does not match the config")
     positions = np.arange(x.shape[0])
-    attention = []
     for layer in weights.layers:
-        attn, probs = multi_head_attention(
+        attn, _ = multi_head_attention(
             _layer_norm(x, layer.ln1_g, layer.ln1_b), layer, config, positions)
-        if return_attention:
-            attention.append(probs)
         x = x + attn
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b)
         x = x + gelu(h @ layer.ffn1_w.T + layer.ffn1_b) @ layer.ffn2_w.T + layer.ffn2_b
     x = _layer_norm(x, weights.final_ln_g, weights.final_ln_b)
-    out = FeatureSequence(data=x.T, frame_rate=features.frame_rate)
-    return (out, attention) if return_attention else out
+    return FeatureSequence(data=x.T, frame_rate=features.frame_rate)
 
 
 # ---------------------------------------------------------------------------
-# heads, pooling, fusion
+# heads and fusion
 
 
 def pose_head(features: FeatureSequence, weight: np.ndarray,
@@ -400,21 +395,6 @@ def pose_head(features: FeatureSequence, weight: np.ndarray,
         raise InvalidInputError(
             f"pose head weight must be ({N_DOF}, {features.data.shape[0]})")
     return features.data.T @ weight.T + bias
-
-
-@dataclass(frozen=True)
-class AttentionPoolWeights:
-    w: np.ndarray   # (d_hidden, d_model)
-    u: np.ndarray   # (d_hidden,)
-
-
-def attention_pool(features: FeatureSequence,
-                   weights: AttentionPoolWeights) -> np.ndarray:
-    """Softmax-weighted time pooling with scores u . tanh(W h_t)."""
-    h = features.data                                        # (d, T)
-    scores = weights.u @ np.tanh(weights.w @ h)              # (T,)
-    alpha = _softmax(scores)
-    return h @ alpha
 
 
 @dataclass(frozen=True)
@@ -437,22 +417,6 @@ def fusion_predict(vision_feature: np.ndarray, emg_feature: np.ndarray,
     delta = weights.fusion2_w @ relu(weights.fusion1_w @ joint + weights.fusion1_b) \
         + weights.fusion2_b
     return y_v + delta, y_v, delta
-
-
-def loss_l1_fingertip(pred: np.ndarray, gt: np.ndarray, skeleton,
-                      fingertip_weight: float = 0.01) -> float:
-    """Mean |pred - gt| plus weighted mean fingertip distance via FK."""
-    pred, gt = np.asarray(pred, float), np.asarray(gt, float)
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != N_DOF:
-        raise InvalidInputError("pred and gt must both be (T, 22)")
-    l1 = np.abs(pred - gt).mean()
-    if fingertip_weight == 0.0:
-        return float(l1)
-    tips = list(skeleton.fingertip_indices)
-    tp = landmark_positions(skeleton, pred)[:, tips]
-    tg = landmark_positions(skeleton, gt)[:, tips]
-    dist = np.linalg.norm(tp - tg, axis=2).mean(axis=1).sum()
-    return float(l1 + fingertip_weight * dist / len(pred))
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,7 @@ def rasterize_depth(camera_mesh: TriangleMesh, camera: PinholeCamera) -> np.ndar
 
 
 def vertex_visibility(camera_mesh: TriangleMesh, camera: PinholeCamera,
-                      depth_buffer: np.ndarray, epsilon_mm: float = EPSILON_MM,
-                      neighborhood: int = NEIGHBORHOOD) -> np.ndarray:
+                      depth_buffer: np.ndarray, neighborhood: int = NEIGHBORHOOD) -> np.ndarray:
     """Visible iff some depth in the clamped window matches the vertex z."""
     if depth_buffer.shape != (camera.height, camera.width):
         raise InvalidInputError("depth buffer does not match the camera resolution")
@@ -239,7 +238,7 @@ def vertex_visibility(camera_mesh: TriangleMesh, camera: PinholeCamera,
     col_ok = (cols >= 0) & (cols < camera.width)
     window = depth_buffer[np.clip(rows, 0, camera.height - 1)[:, :, None],
                           np.clip(cols, 0, camera.width - 1)[:, None, :]]   # (K, n, n)
-    match = np.abs(window - verts[idx, 2][:, None, None]) <= epsilon_mm
+    match = np.abs(window - verts[idx, 2][:, None, None]) <= EPSILON_MM
     match &= row_ok[:, :, None] & col_ok[:, None, :]
     visible[idx] = match.any(axis=(1, 2))
     return visible

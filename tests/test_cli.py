@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -201,6 +202,25 @@ def test_synth_rejects_a_duration_that_is_not_finite_and_at_least_4_s(
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith(
         "error: InvalidInputError: duration must be a finite number of at least 4 s")
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_augment_markers_rejects_a_hand_scale_that_is_not_finite_and_positive(
+        capsys, tmp_path, scale):
+    """At seed 3 the spike op fires on 14 of the 200 frames, and a spike is
+    scaled by the hand size."""
+    episode, out_path = tmp_path / "ep.egl", tmp_path / "out.egl"
+    synth = ds.synth_episode(seed=0, duration_s=4.0)
+    ds.write_episode(dataclasses.replace(
+        synth, markers=np.random.default_rng(3).normal(scale=40.0, size=(200, 21, 3)),
+        marker_timestamps_ms=synth.pose_timestamps_ms[:200]), episode)
+    code, out, err = _run(capsys, "augment-markers", "--seed", "3",
+                          f"--hand-scale={scale}", str(episode), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: InvalidInputError: hand_scale_mm must be a finite positive number, "
+        f"got {float(scale)!r}"]
+    assert not out_path.exists()
 
 
 def test_occlude_command(capsys, tmp_path):

@@ -178,7 +178,6 @@ def test_extract_windows_layout():
     w = windows[0]
     assert w.emg.samples.shape == (7790, 16)
     assert w.pose_frames_left.shape == (146, 22)
-    assert w.center_pose_right.shape == (22,)
     # feature frame timestamps sit at the receptive-field centers
     idx = ds.feature_frame_indices(7790)
     assert np.array_equal(w.frame_timestamps_ms, ep.emg_timestamps_ms[idx])
@@ -195,12 +194,9 @@ def _windows_per_hand(episode, length, stride):
     out = []
     for offset in range(0, episode.emg.n_samples - length + 1, stride):
         times = episode.emg_timestamps_ms[offset + idx]
-        centre = np.array([episode.emg_timestamps_ms[offset + length // 2]])
         out.append((times,
                     ds.resample_to_timeline(pose_t, episode.pose_left, times),
-                    ds.resample_to_timeline(pose_t, episode.pose_right, times),
-                    ds.resample_to_timeline(pose_t, episode.pose_left, centre)[0],
-                    ds.resample_to_timeline(pose_t, episode.pose_right, centre)[0]))
+                    ds.resample_to_timeline(pose_t, episode.pose_right, times)))
     return out
 
 
@@ -210,12 +206,10 @@ def test_extract_windows_match_per_hand_resampling(seed, stride):
     windows = ds.extract_windows(ep, stride=stride)
     expect = _windows_per_hand(ep, ds.WINDOW_SAMPLES, stride or ds.WINDOW_SAMPLES)
     assert len(windows) == len(expect) > 0
-    for w, (times, left, right, c_left, c_right) in zip(windows, expect):
+    for w, (times, left, right) in zip(windows, expect):
         assert np.array_equal(w.frame_timestamps_ms, times)
         assert np.array_equal(w.pose_frames_left, left)
         assert np.array_equal(w.pose_frames_right, right)
-        assert np.array_equal(w.center_pose_left, c_left)
-        assert np.array_equal(w.center_pose_right, c_right)
 
 
 def test_extract_windows_too_short_warns():

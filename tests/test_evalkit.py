@@ -70,13 +70,6 @@ def test_per_user_duplication_invariance():
     assert abs(base.mean() - dup.mean()) > 1e-6
 
 
-def test_weighted_avg():
-    assert ek.weighted_avg({"val": (10.0, 100), "test": (20.0, 300)}) == 17.5
-    assert ek.weighted_avg({"only": (3.0, 7)}) == 3.0
-    with pytest.raises(InvalidInputError):
-        ek.weighted_avg({"empty": (1.0, 0)})
-
-
 def test_record_validation():
     with pytest.raises(InvalidInputError):
         ek.group_mae(np.array([[1.0, -2.0]]))

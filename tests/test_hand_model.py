@@ -260,14 +260,6 @@ def test_mirror_pose_involution():
     assert np.array_equal(back.values, values)
 
 
-def test_clamp_to_limits(skeleton):
-    wild = hm.JointAngles22(np.full(22, 500.0))
-    clamped = hm.clamp_to_limits(wild, skeleton)
-    assert np.array_equal(clamped.values, skeleton.limits[:, 1])
-    inside = hm.JointAngles22(skeleton.limits.mean(axis=1))
-    assert np.array_equal(hm.clamp_to_limits(inside, skeleton).values, inside.values)
-
-
 def test_skeleton_roundtrip(tmp_path, skeleton):
     path = tmp_path / "hand.skel"
     hm.save_skeleton(skeleton, path)

@@ -9,7 +9,6 @@ import pytest
 from handemg import model_core as mc
 from handemg.emg_dsp import EmgWindow
 from handemg.errors import ConfigurationError, InvalidInputError
-from handemg.hand_model import JointAngles22, forward_kinematics
 
 # frozen stage lengths for the 7790-sample training window (valid-conv math)
 WINDOW = 7790
@@ -204,10 +203,6 @@ def test_transformer_variants_and_shapes():
     feats = mc.FeatureSequence(rng.normal(size=(256, 15)), frame_rate=40.0)
     out = mc.transformer_forward(feats, cfg, weights)
     assert out.data.shape == (256, 15)
-    out2, attn = mc.transformer_forward(feats, cfg, weights,
-                                        return_attention=True)
-    assert np.array_equal(out.data, out2.data)
-    assert len(attn) == cfg.n_layers
     with pytest.raises(ConfigurationError):
         mc.TransformerConfig.variant("XL")
     with pytest.raises(ConfigurationError):
@@ -223,20 +218,13 @@ def test_transformer_input_projection():
     assert out.data.shape == (256, 9)
 
 
-def test_pose_head_and_attention_pool():
+def test_pose_head():
     rng = np.random.default_rng(9)
     feats = mc.FeatureSequence(rng.normal(size=(256, 11)), frame_rate=40.0)
     w, b = rng.normal(size=(22, 256)), rng.normal(size=22)
     pose = mc.pose_head(feats, w, b)
     assert pose.shape == (11, 22)
     assert np.abs(pose[4] - (w @ feats.data[:, 4] + b)).max() < 1e-12
-    pool_w = mc.AttentionPoolWeights(w=rng.normal(size=(64, 256)),
-                                     u=rng.normal(size=64))
-    pooled = mc.attention_pool(feats, pool_w)
-    assert pooled.shape == (256,)
-    # pooled vector lies in the convex hull of the frame features
-    assert pooled.min() >= feats.data.min() - 1e-12
-    assert pooled.max() <= feats.data.max() + 1e-12
 
 
 def test_zero_init_fusion_passthrough():
@@ -254,32 +242,6 @@ def test_zero_init_fusion_passthrough():
         y, y_v, delta = mc.fusion_predict(vision, emg, weights)
         assert np.array_equal(y, y_v)
         assert np.array_equal(delta, np.zeros(22))
-
-
-def test_fingertip_loss(skeleton):
-    rng = np.random.default_rng(11)
-    gt = rng.uniform(-5, 5, size=(4, 22))
-    assert mc.loss_l1_fingertip(gt, gt, skeleton) == 0.0
-    pred = gt + 1.0
-    loss = mc.loss_l1_fingertip(pred, gt, skeleton, fingertip_weight=0.0)
-    assert abs(loss - 1.0) < 1e-12
-    full = mc.loss_l1_fingertip(pred, gt, skeleton, fingertip_weight=0.01)
-    assert full > loss
-
-
-def test_fingertip_loss_matches_per_row_fk(skeleton):
-    rng = np.random.default_rng(12)
-    lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
-    pred, gt = rng.uniform(lo, hi, size=(2, 30, 22))
-    tips = list(skeleton.fingertip_indices)
-    dist = 0.0
-    for row_p, row_g in zip(pred, gt):
-        tp = forward_kinematics(skeleton, JointAngles22(row_p)).points[tips]
-        tg = forward_kinematics(skeleton, JointAngles22(row_g)).points[tips]
-        dist += np.linalg.norm(tp - tg, axis=1).mean()
-    expect = np.abs(pred - gt).mean() + 0.05 * dist / len(pred)
-    assert abs(mc.loss_l1_fingertip(pred, gt, skeleton, fingertip_weight=0.05)
-               - expect) < 1e-12
 
 
 def test_init_reproducible():

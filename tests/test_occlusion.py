@@ -241,8 +241,7 @@ def _loop_rasterize_depth(camera_mesh, camera):
     return buffer
 
 
-def _loop_vertex_visibility(camera_mesh, camera, depth_buffer, epsilon_mm=occ.EPSILON_MM,
-                            neighborhood=occ.NEIGHBORHOOD):
+def _loop_vertex_visibility(camera_mesh, camera, depth_buffer, neighborhood=occ.NEIGHBORHOOD):
     half = neighborhood // 2
     verts = camera_mesh.vertices
     visible = np.zeros(len(verts), dtype=bool)
@@ -254,7 +253,7 @@ def _loop_vertex_visibility(camera_mesh, camera, depth_buffer, epsilon_mm=occ.EP
             continue
         window = depth_buffer[max(py - half, 0):py + half + 1,
                               max(px - half, 0):px + half + 1]
-        visible[i] = bool(np.any(np.abs(window - verts[i, 2]) <= epsilon_mm))
+        visible[i] = bool(np.any(np.abs(window - verts[i, 2]) <= occ.EPSILON_MM))
     return visible
 
 
