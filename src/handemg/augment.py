@@ -2,8 +2,10 @@
 
 Every augmentation is a pure function of (input, seed, config). Each
 sub-operation draws from its own counter-based Philox stream keyed by
-(seed, op id), so toggling one perturbation never shifts another's draws
-and results are reproducible regardless of call order or threading.
+(seed, op id), with a marker frame's index in the counter's high word, so
+toggling one perturbation never shifts another's draws, no two (seed, frame)
+pairs share draws, and results are reproducible regardless of call order or
+threading.
 
 Marker perturbations follow a fixed structural -> identity -> noise order:
 bone-length scaling, global scaling, marker swap, marker dropout,
@@ -30,9 +32,10 @@ _EMG_DROPOUT, _EMG_FREQ_MASK, _EMG_NOISE, _EMG_JITTER = range(4)
  _MK_BLEND, _MK_NOISE, _MK_DRIFT, _MK_SPIKE) = range(9)
 
 
-def _op_rng(seed: int, op_id: int) -> np.random.Generator:
+def _op_rng(seed: int, op_id: int, frame: int = 0) -> np.random.Generator:
     key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(op_id)])
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, 0, frame], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def _is_number(value) -> bool:
@@ -203,8 +206,9 @@ def _neighbor_mean(points, graph, idx, fallback):
 
 def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
                     hand_scale_mm: float, seed: int,
-                    config: MarkerAugConfig = MarkerAugConfig()):
-    """Apply the eight marker perturbations; returns (markers, applied_ops).
+                    config: MarkerAugConfig = MarkerAugConfig(), frame: int = 0):
+    """Apply the eight marker perturbations to frame `frame` of a sequence;
+    returns (markers, applied_ops).
 
     With probability `bypass_p` nothing is applied and applied_ops is empty.
     Each entry of applied_ops is a dict with an "op" name plus the draws that
@@ -215,14 +219,15 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
                                 f"got {hand_scale_mm!r}")
     if skeleton_graph.n_nodes != N_MARKERS:
         raise InvalidInputError("marker graph must have 21 nodes")
+    _check_count("frame", frame)
     applied = []
-    if _op_rng(seed, _MK_BYPASS).random() < config.bypass_p:
+    if _op_rng(seed, _MK_BYPASS, frame).random() < config.bypass_p:
         return markers, applied
     p = markers.points.copy()
 
     # (1) bone-length perturbation: scaling an edge displaces the distal subtree
     if config.bone_scale_pct > 0:
-        rng = _op_rng(seed, _MK_BONE)
+        rng = _op_rng(seed, _MK_BONE, frame)
         scales = []
         for parent, child in _tree_edges(skeleton_graph):
             s = 1.0 + rng.uniform(-config.bone_scale_pct, config.bone_scale_pct) / 100.0
@@ -234,13 +239,13 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
     # (2) global scaling about the root marker
     lo, hi = config.global_scale
     if (lo, hi) != (1.0, 1.0):
-        s = _op_rng(seed, _MK_SCALE).uniform(lo, hi)
+        s = _op_rng(seed, _MK_SCALE, frame).uniform(lo, hi)
         p = p[0] + s * (p - p[0])
         applied.append({"op": "global_scale", "factor": float(s)})
 
     # (3) marker swap among spatially proximate pairs
     if config.swap_p > 0 and config.max_swaps > 0:
-        rng = _op_rng(seed, _MK_SWAP)
+        rng = _op_rng(seed, _MK_SWAP, frame)
         dists = np.linalg.norm(p[:, None] - p[None, :], axis=-1)
         pairs = [(i, j) for i in range(N_MARKERS) for j in range(i + 1, N_MARKERS)
                  if dists[i, j] <= config.swap_radius_mm]
@@ -259,7 +264,7 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
 
     # (4) marker dropout, replaced with the mean of graph neighbors
     if config.max_dropout > 0:
-        rng = _op_rng(seed, _MK_DROPOUT)
+        rng = _op_rng(seed, _MK_DROPOUT, frame)
         count = int(rng.integers(0, config.max_dropout + 1))
         if count:
             idx = rng.choice(N_MARKERS, size=count, replace=False)
@@ -270,7 +275,7 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
 
     # (5) neighborhood blending with a random convex combination of neighbors
     if config.blend_self_weight < 1.0:
-        rng = _op_rng(seed, _MK_BLEND)
+        rng = _op_rng(seed, _MK_BLEND, frame)
         ref = p.copy()
         for i in range(N_MARKERS):
             nbrs = skeleton_graph.neighbors(i)
@@ -284,7 +289,7 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
 
     # (6) Gaussian coordinate noise + per-marker dropout
     if config.gaussian_sigma_mm > 0 or config.per_marker_dropout_p > 0:
-        rng = _op_rng(seed, _MK_NOISE)
+        rng = _op_rng(seed, _MK_NOISE, frame)
         p = p + rng.standard_normal(p.shape) * config.gaussian_sigma_mm
         dropped = np.nonzero(rng.random(N_MARKERS) < config.per_marker_dropout_p)[0]
         ref = p.copy()
@@ -295,7 +300,7 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
 
     # (7) marker drift: systematic offset of up to drift_mm
     if config.drift_mm > 0 and config.max_drift_markers > 0:
-        rng = _op_rng(seed, _MK_DRIFT)
+        rng = _op_rng(seed, _MK_DRIFT, frame)
         count = int(rng.integers(0, config.max_drift_markers + 1))
         if count:
             idx = rng.choice(N_MARKERS, size=count, replace=False)
@@ -307,7 +312,7 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
 
     # (8) marker spike to 2-5x the hand scale
     if config.spike_p > 0:
-        rng = _op_rng(seed, _MK_SPIKE)
+        rng = _op_rng(seed, _MK_SPIKE, frame)
         if rng.random() < config.spike_p:
             i = int(rng.integers(0, N_MARKERS))
             direction = rng.standard_normal(3)

@@ -23,9 +23,9 @@ import yaml
 from . import __version__, FORMAT_VERSION
 from . import augment, datastore, emg_dsp, evalkit, graph_features, ik
 from . import model_core, occlusion, wrist_geometry
-from .errors import DataFormatError, HandEmgError
-from .hand_model import (N_DOF, N_LANDMARKS, JointAngles22, LandmarkSet,
-                         default_skeleton, forward_kinematics)
+from .errors import DataFormatError, HandEmgError, InvalidInputError
+from .hand_model import (N_DOF, N_LANDMARKS, JointAngles22, default_skeleton,
+                         forward_kinematics)
 
 
 class _UsageError(Exception):
@@ -126,9 +126,9 @@ def _cmd_augment_markers(args):
     config = _dataclass_from_config(augment.MarkerAugConfig, _load_config(args.config))
     graph = graph_features.default_marker_graph()
     frames, op_names = [], []
-    for i, frame in enumerate(episode.markers):
+    for i, points in enumerate(episode.markers):
         out, ops = augment.augment_markers(
-            augment.MarkerSet(frame), graph, args.hand_scale, args.seed + i, config)
+            augment.MarkerSet(points), graph, args.hand_scale, args.seed, config, frame=i)
         frames.append(out.points)
         op_names += [op["op"] for op in ops]
     episode = dataclasses.replace(episode, markers=np.stack(frames))
@@ -178,18 +178,14 @@ def _cmd_ik(args):
                               f"{N_LANDMARKS}, 3) landmarks block, got shape {landmarks.shape}")
     if not np.all(np.isfinite(landmarks)):
         raise DataFormatError("bad-input", f"{args.landmarks}: landmarks must be finite")
-    skeleton = default_skeleton()
-    results = ik.fit_batch([LandmarkSet(f) for f in landmarks], skeleton,
-                           handedness=args.handedness)
-    angles = np.stack([r.angles.values for r in results])
-    rms = np.sqrt(np.array([r.residual_mse for r in results]))
+    fit = ik.fit_batch(landmarks, default_skeleton())
+    rms = np.sqrt(fit.residual_mse)
     datastore.write_blocks(args.out, {"type": "angles"},
-                           {"angles": angles, "residual_rms_mm": rms})
-    steps = np.mean([r.iterations_used for r in results])
-    starts = np.mean([r.starts_used for r in results])
-    print(f"wrote {args.out}: {len(results)} frames, "
+                           {"angles": fit.angles, "residual_rms_mm": rms})
+    print(f"wrote {args.out}: {len(rms)} frames, "
           f"mean RMS {rms.mean():.4f} mm, worst {rms.max():.4f} mm, "
-          f"per frame {steps:.2f} LM steps from {starts:.2f} starts")
+          f"per frame {fit.iterations_used.mean():.2f} LM steps "
+          f"from {fit.starts_used.mean():.2f} starts")
 
 
 def _read_mesh(path):
@@ -276,6 +272,9 @@ def _cmd_featurize(args):
 
 
 def _cmd_split(args):
+    if not 0 <= args.gestures <= len(datastore.GESTURE_VOCABULARY):
+        raise InvalidInputError(f"--gestures must be a count in [0, "
+                                f"{len(datastore.GESTURE_VOCABULARY)}], got {args.gestures}")
     participants = list(range(args.participants))
     gestures = list(datastore.GESTURE_VOCABULARY[:args.gestures])
     assignment = datastore.generate_splits(participants, gestures, args.seed)
@@ -362,8 +361,8 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--hand-scale", type=float, default=180.0, help="mm")
     p.set_defaults(func=_cmd_augment_markers)
 
-    handedness_help = ("labels the poses only: the skeleton is a right hand, and "
-                       "the output file is the same for left and right")
+    handedness_help = ("changes no output: the skeleton is a right hand, and left "
+                       "and right give the same files")
     p = sub.add_parser("fk")
     p.add_argument("--angles", required=True, help="CSV, one 22-angle row per frame")
     p.add_argument("--handedness", choices=("left", "right"), default="right",

@@ -141,14 +141,10 @@ def feature_frame_indices(length: int) -> np.ndarray:
     return np.arange(n_frames) * FRAME_STRIDE + half_field
 
 
-def extract_windows(episode: Episode, stride: int | None = None):
-    """WINDOW_SAMPLES-sample windows at offsets 0, stride, ... (stride defaults
-    to the window length); pose resampled to feature frames."""
+def extract_windows(episode: Episode):
+    """Back-to-back WINDOW_SAMPLES-sample windows at offsets 0, L, 2L, ...
+    (L = WINDOW_SAMPLES); pose resampled to feature frames."""
     length = WINDOW_SAMPLES
-    if stride is None:
-        stride = length
-    if stride < 1:
-        raise InvalidInputError("window stride must be >= 1")
     total = episode.emg.n_samples
     if total < length:
         warnings.warn(f"episode of {total} samples is shorter than the "
@@ -157,7 +153,7 @@ def extract_windows(episode: Episode, stride: int | None = None):
     sample_idx = feature_frame_indices(length)
     poses = np.stack([episode.pose_left, episode.pose_right], axis=1)   # (P, 2, 22)
     windows = []
-    for offset in range(0, total - length + 1, stride):
+    for offset in range(0, total - length + 1, length):
         times = episode.emg_timestamps_ms[offset + sample_idx]
         at = resample_to_timeline(episode.pose_timestamps_ms, poses, times)
         windows.append(WindowSample(

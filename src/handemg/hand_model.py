@@ -33,8 +33,8 @@ fingertip points.
 
 Forward kinematics is one state function over an (N, 22) angle array
 (`landmark_positions`, and `landmark_jacobians` with the analytic
-Jacobian); the single-pose `forward_kinematics` and `landmark_jacobian` are
-their N = 1 case. It composes the tree one depth
+Jacobian); the single-pose `forward_kinematics` is the N = 1 case of
+`landmark_positions`. It composes the tree one depth
 level per step, all bones of a level at once: 7 steps for the default hand
 (the two wrist bones, then one bone per finger at each of levels 2-6). Each
 skeleton builds its tables once (`HandSkeleton._fk_tables`): the bones in
@@ -258,13 +258,13 @@ class HandSkeleton:
         these rest positions to its targets to estimate the wrist angles.
         """
         mid = self.limits.mean(axis=1)
-        _, jac = landmark_jacobian(self, JointAngles22(mid))
-        rigid = np.flatnonzero(np.abs(jac[:, :, :WRIST_FE]).max(axis=(1, 2)) < 1e-12)
+        _, jac = landmark_jacobians(self, mid[None])
+        rigid = np.flatnonzero(np.abs(jac[0, :, :, :WRIST_FE]).max(axis=(1, 2)) < 1e-12)
         rigid.flags.writeable = False
         rest_angles = mid.copy()
         rest_angles[WRIST_FE] = 0.0
         rest_angles[WRIST_RU] = 0.0
-        rest = forward_kinematics(self, JointAngles22(rest_angles)).points[rigid]
+        rest = landmark_positions(self, rest_angles[None])[0, rigid]
         return rigid, _read_only(rest)
 
     @cached_property
@@ -368,16 +368,6 @@ def landmark_jacobians(skeleton: HandSkeleton, angles):
     jac = np.stack([ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx], axis=2)
     jac *= skeleton.landmark_dof_mask[:, None, :] * (np.pi / 180.0)
     return points, jac
-
-
-def landmark_jacobian(skeleton: HandSkeleton, angles: JointAngles22):
-    """Analytic FK Jacobian of one pose.
-
-    Returns (points, jac) with points (20, 3) mm and jac (20, 3, 22) in
-    mm per degree: jac[i, :, j] = d points[i] / d angles[j].
-    """
-    points, jac = landmark_jacobians(skeleton, angles.values[None])
-    return points[0], jac[0]
 
 
 def mirror_pose(angles: JointAngles22) -> JointAngles22:

@@ -4,13 +4,14 @@ The 22 angles are fitted in an unconstrained space z through a sigmoid box
 reparameterization a = a_min + (a_max - a_min) * sigmoid(z), so every iterate
 stays strictly inside the joint limits. The fit is a least-squares problem:
 60 landmark coordinate residuals FK(a(z)) - targets (mm) over 22 unknowns,
-zero at the solution for clean targets. `fit_batch` solves it for all of
-its frames in lockstep: one Levenberg-Marquardt on the analytic FK Jacobian,
-which converges quadratically near a zero-residual solution, runs every frame
-at once with per-frame damping and stopping, and the starting points are
-tried in rounds over the frames not yet fitted. Every product is a stacked
-matmul and every solve a batched one, so a frame's result depends only on its
-own targets. `fit_joint_angles` is the one-frame case.
+zero at the solution for clean targets. `fit_batch` solves it for an
+(N, 20, 3) target array in lockstep: one Levenberg-Marquardt on the analytic
+FK Jacobian, which converges quadratically near a zero-residual solution,
+runs every frame at once with per-frame damping and stopping, and the
+starting points are tried in rounds over the frames not yet fitted. Every
+product is a stacked matmul and every solve a batched one, so a frame's
+result depends only on its own targets. It returns one record of arrays;
+`fit_joint_angles` is the one-frame case.
 
 `lbfgs_minimize` is a general minimizer of any (loss, gradient) objective:
 L-BFGS with a strong Wolfe line search, at fixed settings (100 accepted
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -364,24 +366,19 @@ def _wrist_aligned_start(targets: np.ndarray, skeleton: HandSkeleton) -> np.ndar
     return inverse_sigmoid_reparam(np.clip(start, lo + pad, hi - pad), limits)
 
 
-def fit_batch(target_sequences, skeleton: HandSkeleton, handedness: str = "right"):
-    """Recover 22 joint angles per frame whose FK landmarks match each
-    LandmarkSet of `target_sequences` (mm), all frames in lockstep.
+class IkBatchResult(NamedTuple):
+    """The fits of N frames, one array per field, frame k in row k."""
 
-    Starting points are tried in rounds: the wrist-aligned mid-range pose,
-    the mid-range pose, then a fixed set of seeded perturbations of the
-    first. Each round solves only the frames whose best residual is not yet
-    acceptable, and each frame keeps its best solve. A frame's result depends
-    only on its own targets: it is the same, bit for bit, whether a sequence
-    is fitted whole, frame by frame or in chunks, and from call to call.
-    `handedness` only labels the returned angles: the fit uses `skeleton` as is.
-    """
-    frames = list(target_sequences)
-    if len(frames) > _BLOCK_FRAMES:
-        return [result for first in range(0, len(frames), _BLOCK_FRAMES)
-                for result in fit_batch(frames[first:first + _BLOCK_FRAMES], skeleton,
-                                        handedness)]
-    targets = np.array([t.points for t in frames]).reshape(-1, N_LANDMARKS, 3)
+    angles: np.ndarray                  # (N, 22) degrees
+    residual_mse: np.ndarray            # (N,) mm^2, mean of squared landmark distances
+    per_landmark_error: np.ndarray      # (N, 20) mm
+    converged: np.ndarray               # (N,) bool
+    iterations_used: np.ndarray         # (N,) Levenberg-Marquardt steps tried, all starts
+    starts_used: np.ndarray             # (N,) starting points solved from
+
+
+def _fit_block(targets: np.ndarray, skeleton: HandSkeleton) -> IkBatchResult:
+    """`fit_batch` of at most _BLOCK_FRAMES frames, all in lockstep."""
     n = len(targets)
     z_aligned = _wrist_aligned_start(targets, skeleton)
     restart_rng = np.random.Generator(np.random.Philox(key=0))
@@ -407,20 +404,42 @@ def fit_batch(target_sequences, skeleton: HandSkeleton, handedness: str = "right
         best_mse[improved], converged[improved] = mse[better], solved[better]
         pending = pending[best_mse[pending] > _ACCEPT_MSE]
 
-    results = []
-    for k in range(n):
-        per_landmark = np.linalg.norm(best_points[k] - targets[k], axis=1)
-        results.append(IkResult(angles=JointAngles22(best_angles[k], handedness=handedness),
-                                residual_mse=float(np.mean(per_landmark ** 2)),
-                                per_landmark_error=per_landmark,
-                                converged=bool(converged[k]),
-                                iterations_used=int(steps[k]),
-                                starts_used=int(starts[k])))
-    return results
+    per_landmark = np.linalg.norm(best_points - targets, axis=2)
+    return IkBatchResult(angles=best_angles, residual_mse=np.mean(per_landmark ** 2, axis=1),
+                         per_landmark_error=per_landmark, converged=converged,
+                         iterations_used=steps, starts_used=starts)
 
 
-def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton,
-                     handedness: str = "right") -> IkResult:
+def fit_batch(targets, skeleton: HandSkeleton) -> IkBatchResult:
+    """Recover 22 joint angles per frame whose FK landmarks match the target
+    landmarks (N, 20, 3) in mm, all frames in lockstep.
+
+    Starting points are tried in rounds: the wrist-aligned mid-range pose,
+    the mid-range pose, then a fixed set of seeded perturbations of the
+    first. Each round solves only the frames whose best residual is not yet
+    acceptable, and each frame keeps its best solve. A frame's result depends
+    only on its own targets: it is the same, bit for bit, whether a sequence
+    is fitted whole, frame by frame or in chunks, and from call to call.
+    Frames are solved _BLOCK_FRAMES at a time.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 3 or targets.shape[1:] != (N_LANDMARKS, 3):
+        raise InvalidInputError(f"expected (N, {N_LANDMARKS}, 3) target landmarks, "
+                                f"got shape {targets.shape}")
+    if not np.all(np.isfinite(targets)):
+        raise InvalidInputError("target landmarks must be finite")
+    blocks = [_fit_block(targets[first:first + _BLOCK_FRAMES], skeleton)
+              for first in range(0, max(len(targets), 1), _BLOCK_FRAMES)]
+    return IkBatchResult(*(np.concatenate(column) for column in zip(*blocks)))
+
+
+def fit_joint_angles(targets: LandmarkSet, skeleton: HandSkeleton) -> IkResult:
     """Recover 22 joint angles whose FK landmarks match `targets` (mm): the
     one-frame case of `fit_batch`."""
-    return fit_batch([targets], skeleton, handedness=handedness)[0]
+    fit = fit_batch(targets.points[None], skeleton)
+    return IkResult(angles=JointAngles22(fit.angles[0]),
+                    residual_mse=float(fit.residual_mse[0]),
+                    per_landmark_error=fit.per_landmark_error[0],
+                    converged=bool(fit.converged[0]),
+                    iterations_used=int(fit.iterations_used[0]),
+                    starts_used=int(fit.starts_used[0]))

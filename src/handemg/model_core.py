@@ -308,8 +308,6 @@ class TransformerWeights:
     layers: tuple
     final_ln_g: np.ndarray
     final_ln_b: np.ndarray
-    input_proj_w: np.ndarray | None = None   # (d_model, d_in) when d_in differs
-    input_proj_b: np.ndarray | None = None
 
 
 def rope_apply(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -362,14 +360,10 @@ def multi_head_attention(x: np.ndarray, layer: LayerWeights,
 
 def transformer_forward(features: FeatureSequence, config: TransformerConfig,
                         weights: TransformerWeights) -> FeatureSequence:
-    """Pre-norm transformer over the feature sequence; (d_in, T) -> (d_model, T)."""
-    x = features.data.T                                      # (T, d_in)
+    """Pre-norm transformer over the feature sequence; (d_model, T) -> (d_model, T)."""
+    x = features.data.T                                      # (T, d_model)
     if x.shape[1] != config.d_model:
-        if weights.input_proj_w is None:
-            raise ConfigurationError(
-                f"feature dim {x.shape[1]} != d_model {config.d_model} and no "
-                f"input projection supplied")
-        x = x @ weights.input_proj_w.T + weights.input_proj_b
+        raise ConfigurationError(f"feature dim {x.shape[1]} != d_model {config.d_model}")
     if len(weights.layers) != config.n_layers:
         raise ConfigurationError("layer count does not match the config")
     positions = np.arange(x.shape[0])
@@ -466,8 +460,7 @@ def init_featurizer_weights(seed: int) -> FeaturizerWeights:
         se2=init_se_weights(rng))
 
 
-def init_transformer_weights(config: TransformerConfig, seed: int,
-                             d_in: int | None = None) -> TransformerWeights:
+def init_transformer_weights(config: TransformerConfig, seed: int) -> TransformerWeights:
     rng = np.random.default_rng(seed)
     d, f = config.d_model, config.d_ffn
     layers = []
@@ -481,10 +474,5 @@ def init_transformer_weights(config: TransformerConfig, seed: int,
             ln2_g=np.ones(d), ln2_b=np.zeros(d),
             ffn1_w=_fan_in_uniform(rng, (f, d), d), ffn1_b=np.zeros(f),
             ffn2_w=_fan_in_uniform(rng, (d, f), f), ffn2_b=np.zeros(d)))
-    proj_w = proj_b = None
-    if d_in is not None and d_in != d:
-        proj_w = _fan_in_uniform(rng, (d, d_in), d_in)
-        proj_b = np.zeros(d)
     return TransformerWeights(layers=tuple(layers),
-                              final_ln_g=np.ones(d), final_ln_b=np.zeros(d),
-                              input_proj_w=proj_w, input_proj_b=proj_b)
+                              final_ln_g=np.ones(d), final_ln_b=np.zeros(d))

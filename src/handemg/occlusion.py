@@ -220,11 +220,11 @@ def rasterize_depth(camera_mesh: TriangleMesh, camera: PinholeCamera) -> np.ndar
 
 
 def vertex_visibility(camera_mesh: TriangleMesh, camera: PinholeCamera,
-                      depth_buffer: np.ndarray, neighborhood: int = NEIGHBORHOOD) -> np.ndarray:
-    """Visible iff some depth in the clamped window matches the vertex z."""
+                      depth_buffer: np.ndarray) -> np.ndarray:
+    """Visible iff some depth in the clamped NEIGHBORHOOD window matches the vertex z."""
     if depth_buffer.shape != (camera.height, camera.width):
         raise InvalidInputError("depth buffer does not match the camera resolution")
-    half = neighborhood // 2
+    half = NEIGHBORHOOD // 2
     verts = camera_mesh.vertices
     visible = np.zeros(len(verts), dtype=bool)
     u, v = _project(camera, _safe_vertices(verts))

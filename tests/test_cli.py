@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from handemg import cli, datastore as ds, emg_dsp, errors, occlusion
+from handemg import augment, cli, datastore as ds, emg_dsp, errors, graph_features, occlusion
 from handemg.errors import DataFormatError
 from handemg.hand_model import (JointAngles22, default_skeleton,
                                 forward_kinematics)
@@ -223,6 +223,32 @@ def test_augment_markers_rejects_a_hand_scale_that_is_not_finite_and_positive(
     assert not out_path.exists()
 
 
+def test_augment_markers_frames_draw_apart_from_neighbouring_seeds(capsys, tmp_path):
+    """Frame i + 1 at --seed 3 is not frame i at --seed 4, and frame 0 is the
+    library call of the same seed. The input frames are identical and no frame
+    is bypassed, so only the draws tell the frames apart."""
+    episode, config = tmp_path / "ep.egl", tmp_path / "aug.yaml"
+    synth = ds.synth_episode(seed=0, duration_s=4.0)
+    frame = np.random.default_rng(5).normal(scale=40.0, size=(21, 3))
+    ds.write_episode(dataclasses.replace(
+        synth, markers=np.tile(frame, (6, 1, 1)),
+        marker_timestamps_ms=synth.pose_timestamps_ms[:6]), episode)
+    config.write_text("bypass_p: 0.0\n")
+    out = {}
+    for seed in (3, 4):
+        path = tmp_path / f"out{seed}.egl"
+        code, _, _ = _run(capsys, "augment-markers", "--seed", str(seed), "--config",
+                          str(config), str(episode), "--out", str(path))
+        assert code == 0
+        out[seed] = ds.read_episode(path).markers
+    for i in range(5):
+        assert not np.array_equal(out[3][i + 1], out[4][i])
+    graph = graph_features.default_marker_graph()
+    expect, _ = augment.augment_markers(augment.MarkerSet(frame), graph, 180.0, 3,
+                                        augment.MarkerAugConfig(bypass_p=0.0))
+    assert np.array_equal(out[3][0], expect.points)
+
+
 def test_occlude_command(capsys, tmp_path):
     mesh = tmp_path / "mesh.txt"
     mesh.write_text("v -50 -50 800\nv 50 -50 800\nv 0 50 800\n"
@@ -373,6 +399,16 @@ def test_split_command(capsys):
     n, frac = rows["train"].split(",")
     assert n == "1750"
     assert abs(float(frac) - 0.7114) < 1e-4
+
+
+@pytest.mark.parametrize("option, count", [
+    ("--gestures", "61"), ("--gestures", "100"), ("--gestures", "-1"), ("--gestures", "-5"),
+    ("--participants", "3"),
+])
+def test_split_rejects_counts_outside_the_roster(capsys, option, count):
+    code, out, err = _run(capsys, "split", option, count)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: InvalidInputError: ")
 
 
 def test_eval_command(capsys, tmp_path):

@@ -65,8 +65,7 @@ def test_landmark_positions_matches_single_pose_fk(skeleton):
     points, jac = hm.landmark_jacobians(skeleton, poses)
     assert np.array_equal(points, single)
     for pose, pose_jac in zip(poses, jac):
-        assert np.array_equal(hm.landmark_jacobian(skeleton, hm.JointAngles22(pose))[1],
-                              pose_jac)
+        assert np.array_equal(hm.landmark_jacobians(skeleton, pose[None])[1][0], pose_jac)
 
 
 def _loop_fk(skeleton, values):
@@ -110,11 +109,11 @@ def test_fk_core_matches_per_bone_loop(skeleton):
     for batch in (poses[:1], poses):
         assert np.array_equal(hm.landmark_positions(skeleton, batch),
                               _loop_fk(skeleton, batch)[0])
-    for values in poses[:200]:
-        points, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(values))
+    points, jac = hm.landmark_jacobians(skeleton, poses[:200])
+    for values, pose_points, pose_jac in zip(poses, points, jac):
         ref_points, ref_jac = _loop_jacobian(skeleton, values)
-        assert np.array_equal(points, ref_points)
-        assert np.array_equal(jac, ref_jac)
+        assert np.array_equal(pose_points, ref_points)
+        assert np.array_equal(pose_jac, ref_jac)
 
 
 def test_default_skeleton_levels_read_parents_by_slice(skeleton):
@@ -156,12 +155,10 @@ def test_fk_is_independent_of_bone_order(tmp_path, skeleton):
     got = hm.landmark_positions(loaded, poses)
     assert np.abs(got - expect).max() <= 1e-12
     assert np.array_equal(got, expect)
-    for values in poses:
-        angles = hm.JointAngles22(values)
-        _, jac = hm.landmark_jacobian(loaded, angles)
-        _, expect_jac = hm.landmark_jacobian(skeleton, angles)
-        assert np.abs(jac - expect_jac).max() <= 1e-12
-        assert np.array_equal(jac, expect_jac)
+    _, jac = hm.landmark_jacobians(loaded, poses)
+    _, expect_jac = hm.landmark_jacobians(skeleton, poses)
+    assert np.abs(jac - expect_jac).max() <= 1e-12
+    assert np.array_equal(jac, expect_jac)
 
 
 _FK_CHILD = """
@@ -172,7 +169,7 @@ skeleton = hm.default_skeleton()
 poses = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, hm.N_DOF)
 sys.stdout.buffer.write(hm.landmark_positions(skeleton, poses).tobytes())
 for values in poses:
-    points, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(values))
+    points, jac = hm.landmark_jacobians(skeleton, values[None])
     sys.stdout.buffer.write(points.tobytes() + jac.tobytes())
 """
 
@@ -190,7 +187,7 @@ def test_fk_bit_identical_across_blas_threads(skeleton):
                                env=env, capture_output=True, check=True, timeout=300)
         outputs.append(child.stdout)
     here = hm.landmark_positions(skeleton, poses).tobytes() + b"".join(
-        b"".join(a.tobytes() for a in hm.landmark_jacobian(skeleton, hm.JointAngles22(v)))
+        b"".join(a.tobytes() for a in hm.landmark_jacobians(skeleton, v[None]))
         for v in poses)
     assert len(here) == len(poses) * 20 * 3 * (1 + 1 + 22) * 8
     assert outputs[0] == outputs[1] == here
@@ -231,7 +228,7 @@ def test_jacobian_matches_central_differences(skeleton):
     h = 1e-5
     for _ in range(5):
         values = random_pose(rng, skeleton)
-        points, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(values))
+        points, jac = (a[0] for a in hm.landmark_jacobians(skeleton, values[None]))
         assert jac.shape == (20, 3, 22)
         fk0 = hm.forward_kinematics(skeleton, hm.JointAngles22(values)).points
         assert np.abs(points - fk0).max() < 1e-12
@@ -284,7 +281,7 @@ def test_wrist_rigid_rest_matches_per_call_definition(skeleton):
     """The cached landmarks equal the Jacobian test and rest-pose FK that IK
     used to run on every frame, and are computed once per skeleton."""
     mid = skeleton.limits.mean(axis=1)
-    _, jac = hm.landmark_jacobian(skeleton, hm.JointAngles22(mid))
+    jac = hm.landmark_jacobians(skeleton, mid[None])[1][0]
     rigid = [i for i in range(hm.N_LANDMARKS)
              if np.abs(jac[i, :, :hm.WRIST_FE]).max() < 1e-12]
     rest_angles = mid.copy()

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_pose
 from handemg import ik
+from handemg.errors import InvalidInputError
 from handemg.hand_model import (JointAngles22, LandmarkSet, forward_kinematics,
                                 landmark_positions, N_DOF, WRIST_FE, WRIST_RU)
 
@@ -106,15 +107,21 @@ def _cut_sequence(skeleton, n_frames=24, cut=13):
     return landmark_positions(skeleton, np.concatenate(segments))
 
 
+def _frame_bytes(fit):
+    """Each frame's angles, per-landmark errors and residual, as bytes."""
+    rows = np.column_stack([fit.angles, fit.per_landmark_error, fit.residual_mse])
+    return [row.tobytes() for row in rows]
+
+
 _IK_CHILD = """
 import sys
 import numpy as np
 from handemg import ik
-from handemg.hand_model import LandmarkSet, default_skeleton
+from handemg.hand_model import default_skeleton
 targets = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 20, 3)
-for r in ik.fit_batch([LandmarkSet(t) for t in targets], default_skeleton()):
-    sys.stdout.buffer.write(r.angles.values.tobytes() + r.per_landmark_error.tobytes()
-                            + np.float64(r.residual_mse).tobytes())
+fit = ik.fit_batch(targets, default_skeleton())
+sys.stdout.buffer.write(np.column_stack([fit.angles, fit.per_landmark_error,
+                                         fit.residual_mse]).tobytes())
 """
 
 
@@ -129,9 +136,7 @@ def test_fit_batch_bit_identical_across_blas_threads(skeleton):
         child = subprocess.run([sys.executable, "-c", _IK_CHILD], input=targets.tobytes(),
                                env=env, capture_output=True, check=True, timeout=300)
         outputs.append(child.stdout)
-    here = b"".join(r.angles.values.tobytes() + r.per_landmark_error.tobytes()
-                    + np.float64(r.residual_mse).tobytes()
-                    for r in ik.fit_batch([LandmarkSet(t) for t in targets], skeleton))
+    here = b"".join(_frame_bytes(ik.fit_batch(targets, skeleton)))
     assert len(here) == len(targets) * (N_DOF + 20 + 1) * 8
     assert outputs[0] == outputs[1] == here
 
@@ -146,27 +151,50 @@ def test_fit_is_exact_on_clean_targets(skeleton):
         result = ik.fit_joint_angles(targets, skeleton)
         worst = max(worst, np.sqrt(result.residual_mse))
         assert result.converged
-    results = ik.fit_batch([LandmarkSet(t) for t in _cut_sequence(skeleton)], skeleton)
-    worst = max([worst] + [np.sqrt(r.residual_mse) for r in results])
+    fit = ik.fit_batch(_cut_sequence(skeleton), skeleton)
+    worst = max(worst, np.sqrt(fit.residual_mse).max())
     assert worst < 1e-6  # mm
 
 
 def test_per_landmark_error_is_the_fk_distance(skeleton):
     """The reported errors are those of FK at the returned angles, bit for bit."""
-    targets = [LandmarkSet(t) for t in _cut_sequence(skeleton)]
-    for target, result in zip(targets, ik.fit_batch(targets, skeleton)):
-        fk = forward_kinematics(skeleton, result.angles).points
-        distance = np.linalg.norm(fk - target.points, axis=1)
-        assert np.array_equal(result.per_landmark_error, distance)
-        assert result.residual_mse == float(np.mean(distance ** 2))
+    targets = _cut_sequence(skeleton)
+    fit = ik.fit_batch(targets, skeleton)
+    for target, angles, error, mse in zip(targets, fit.angles, fit.per_landmark_error,
+                                          fit.residual_mse):
+        fk = forward_kinematics(skeleton, JointAngles22(angles)).points
+        distance = np.linalg.norm(fk - target, axis=1)
+        assert np.array_equal(error, distance)
+        assert mse == np.mean(distance ** 2)
 
 
 def test_fit_takes_no_config(skeleton):
+    """Neither a config object nor a handedness label: the fit uses `skeleton`
+    as it is."""
     targets = LandmarkSet(_cut_sequence(skeleton)[0])
-    with pytest.raises(TypeError):
-        ik.fit_joint_angles(targets, skeleton, config=None)
-    with pytest.raises(TypeError):
-        ik.fit_batch([targets], skeleton, config=None)
+    for option in ({"config": None}, {"handedness": "left"}):
+        with pytest.raises(TypeError):
+            ik.fit_joint_angles(targets, skeleton, **option)
+        with pytest.raises(TypeError):
+            ik.fit_batch(targets.points[None], skeleton, **option)
+
+
+@pytest.mark.parametrize("shape, bad", [
+    ((20, 3), None), ((2, 19, 3), None), ((2, 20, 2), None), ((2, 60), None),
+    ((3, 20, 3), np.nan), ((3, 20, 3), np.inf),
+], ids=["one-frame-2-d", "19-landmarks", "2-d-points", "flat-frames", "nan", "inf"])
+def test_fit_batch_rejects_targets_not_finite_n_by_20_by_3(skeleton, shape, bad):
+    targets = np.ones(shape)
+    if bad is not None:
+        targets[1, 7, 2] = bad
+    with pytest.raises(InvalidInputError):
+        ik.fit_batch(targets, skeleton)
+
+
+def test_fit_batch_of_no_frames_is_empty(skeleton):
+    fit = ik.fit_batch(np.zeros((0, 20, 3)), skeleton)
+    assert fit.angles.shape == (0, N_DOF) and fit.per_landmark_error.shape == (0, 20)
+    assert all(len(column) == 0 for column in fit)
 
 
 def test_fit_batch_is_independent_of_chunking(skeleton, monkeypatch):
@@ -176,23 +204,19 @@ def test_fit_batch_is_independent_of_chunking(skeleton, monkeypatch):
     sends them through the later start rounds."""
     targets = _cut_sequence(skeleton)
     targets[3::7] += np.random.default_rng(15).normal(scale=1.0, size=targets[3::7].shape)
-    frames = [LandmarkSet(t) for t in targets]
 
     def fitted(chunk):
-        results = []
-        for i in range(0, len(frames), chunk):
-            results += ik.fit_batch(frames[i:i + chunk], skeleton)
-        return [r.angles.values.tobytes() + r.per_landmark_error.tobytes()
-                + np.float64(r.residual_mse).tobytes() for r in results]
+        return [frame for i in range(0, len(targets), chunk)
+                for frame in _frame_bytes(ik.fit_batch(targets[i:i + chunk], skeleton))]
 
-    whole = fitted(len(frames))
+    whole = fitted(len(targets))
     assert len(whole) == 24
-    assert [r.starts_used > 1 for r in ik.fit_batch(frames, skeleton)] == [
+    assert list(ik.fit_batch(targets, skeleton).starts_used > 1) == [
         i % 7 == 3 for i in range(24)]
     assert fitted(1) == whole
     assert fitted(5) == whole
     monkeypatch.setattr(ik, "_BLOCK_FRAMES", 7)
-    assert fitted(len(frames)) == whole
+    assert fitted(len(targets)) == whole
 
 
 def test_frame_accepted_in_first_round_joins_no_later_round(skeleton, monkeypatch):
@@ -204,13 +228,13 @@ def test_frame_accepted_in_first_round_joins_no_later_round(skeleton, monkeypatc
     solve = ik._lm_solve
     monkeypatch.setattr(ik, "_lm_solve",
                         lambda z0, tgt, *args: rounds.append(tgt.copy()) or solve(z0, tgt, *args))
-    results = ik.fit_batch([LandmarkSet(t) for t in targets], skeleton)
+    fit = ik.fit_batch(targets, skeleton)
     assert len(rounds) == 2 + ik._N_PERTURBED_RESTARTS
     assert np.array_equal(rounds[0], targets)
     for later in rounds[1:]:
         assert np.array_equal(later, targets[[1, 4]])
-    assert [r.starts_used for r in results] == [1, 6, 1, 1, 6, 1]
-    assert all(r.iterations_used > 0 for r in results)
+    assert list(fit.starts_used) == [1, 6, 1, 1, 6, 1]
+    assert np.all(fit.iterations_used > 0)
 
 
 def test_unreachable_targets_try_every_start_in_order(skeleton, monkeypatch):
@@ -244,12 +268,11 @@ def test_noisy_targets_fit_no_worse_than_the_true_pose(skeleton, noise_mm):
     truth = _cut_sequence(skeleton, n_frames=12, cut=7)
     rng = np.random.default_rng(14)
     noisy = truth + rng.normal(scale=noise_mm, size=truth.shape)
-    results = ik.fit_batch([LandmarkSet(t) for t in noisy], skeleton)
+    fit = ik.fit_batch(noisy, skeleton)
     true_rms = np.sqrt(np.mean(np.sum((truth - noisy) ** 2, axis=2), axis=1))
-    fit_rms = np.sqrt([r.residual_mse for r in results])
-    assert np.all(fit_rms <= true_rms + 1e-6)
+    assert np.all(np.sqrt(fit.residual_mse) <= true_rms + 1e-6)
     if noise_mm == 1.0:
-        assert all(r.starts_used > 1 for r in results)
+        assert np.all(fit.starts_used > 1)
 
 
 def test_wrist_aligned_start_matches_per_frame_procrustes(skeleton):

@@ -241,8 +241,8 @@ def _loop_rasterize_depth(camera_mesh, camera):
     return buffer
 
 
-def _loop_vertex_visibility(camera_mesh, camera, depth_buffer, neighborhood=occ.NEIGHBORHOOD):
-    half = neighborhood // 2
+def _loop_vertex_visibility(camera_mesh, camera, depth_buffer):
+    half = occ.NEIGHBORHOOD // 2
     verts = camera_mesh.vertices
     visible = np.zeros(len(verts), dtype=bool)
     in_front = verts[:, 2] > occ._NEAR_Z_MM
@@ -326,8 +326,7 @@ def test_rasterizer_edge_case_scene_covers_its_cases():
     assert np.isin(tu % 1.0, (0.0, 0.5)).all(axis=1).sum() > 10   # exact ties
 
 
-@pytest.mark.parametrize("neighborhood", [5, 4, 1])
-def test_vertex_visibility_matches_vertex_loop(neighborhood):
+def test_vertex_visibility_matches_vertex_loop():
     width, height, f = 40, 30, 50.0
     camera = _camera(width, height, f)
     rng = np.random.default_rng(7)
@@ -345,8 +344,8 @@ def test_vertex_visibility_matches_vertex_loop(neighborhood):
     draw = rng.uniform(size=(height, width))
     buffer = np.where(draw < 0.04, rng.uniform(95.0, 105.0, draw.shape),
                       np.where(draw < 0.5, 300.0, occ.DEPTH_SENTINEL))
-    got = occ.vertex_visibility(mesh, camera, buffer, neighborhood=neighborhood)
-    expect = _loop_vertex_visibility(mesh, camera, buffer, neighborhood=neighborhood)
+    got = occ.vertex_visibility(mesh, camera, buffer)
+    expect = _loop_vertex_visibility(mesh, camera, buffer)
     assert np.array_equal(got, expect)
     assert 0 < got.sum() < len(got)
 
