@@ -157,6 +157,8 @@ def augment_emg(window: EmgWindow, seed: int,
     if config.jitter_ms > 0:
         max_shift = int(round(config.jitter_ms * 1e-3 * window.sample_rate))
         shift = int(_op_rng(seed, _EMG_JITTER).integers(-max_shift, max_shift + 1))
+        # a window no longer than the shift becomes n copies of its edge sample
+        shift = min(max(shift, -n), n)
         if shift > 0:
             x = np.concatenate([np.repeat(x[:1], shift, axis=0), x[:n - shift]])
         elif shift < 0:

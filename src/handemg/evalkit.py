@@ -41,10 +41,15 @@ def _check_errors(errors) -> np.ndarray:
 
 
 def mae(pred: np.ndarray, gt: np.ndarray) -> float:
-    """(1/JT) sum |pred - gt| in degrees."""
+    """(1/JT) sum |pred - gt| in degrees, over two non-empty, finite arrays
+    of one shape."""
     pred, gt = np.asarray(pred, dtype=float), np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise InvalidInputError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    if pred.size == 0:
+        raise InvalidInputError("mae needs at least one value")
+    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(gt))):
+        raise InvalidInputError("mae inputs must be finite")
     return float(np.abs(pred - gt).mean())
 
 

@@ -39,7 +39,10 @@ level per step, all bones of a level at once: 7 steps for the default hand
 (the two wrist bones, then one bone per finger at each of levels 2-6). Each
 skeleton builds its tables once (`HandSkeleton._fk_tables`): the bones in
 level order, each level's parent slots, and each joint axis's skew matrix K
-with K @ K, so a local rotation is I + sin(a) K + (1 - cos(a)) K^2.
+with K @ K, so a local rotation is I + sin(a) K + (1 - cos(a)) K^2. The
+tables also hold the (landmark, DoF) pairs of `landmark_dof_mask`: the
+Jacobian is evaluated only at those pairs (100 of 440 for the default hand)
+and is zero elsewhere.
 """
 
 from __future__ import annotations
@@ -181,6 +184,11 @@ class _FkTables(NamedTuple):
     dof_axes: each DoF's rotation axis (22, 3, 1) in its bone's frame.
     landmark_slots, landmark_offsets: each landmark's slot and local offset
         (20, 3, 1).
+    jac_landmarks, jac_dofs: the (landmark, DoF) pairs of `landmark_dof_mask`,
+        the only Jacobian entries that can be nonzero (100 of 440 for the
+        default hand).
+    jac_index: each pair's x, y, z entries (P, 3) in a flattened
+        (20, 3, 22) Jacobian.
     """
 
     levels: tuple
@@ -192,6 +200,9 @@ class _FkTables(NamedTuple):
     dof_axes: np.ndarray
     landmark_slots: np.ndarray
     landmark_offsets: np.ndarray
+    jac_landmarks: np.ndarray
+    jac_dofs: np.ndarray
+    jac_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -287,6 +298,7 @@ class HandSkeleton:
         columns = [N_DOF if b.dof is None else b.dof for b in ordered]
         dof_slots = np.array([columns.index(dof) for dof in range(N_DOF)])
         skew = _skew(np.array([b.axis for b in ordered]))
+        jac_landmarks, jac_dofs = np.nonzero(self.landmark_dof_mask)
         return _FkTables(
             levels=tuple(levels),
             columns=np.array(columns),
@@ -297,6 +309,9 @@ class HandSkeleton:
             dof_axes=np.array([ordered[i].axis for i in dof_slots])[:, :, None],
             landmark_slots=np.array([slot[bi] for bi, _ in self.landmark_map]),
             landmark_offsets=np.array([off for _, off in self.landmark_map])[:, :, None],
+            jac_landmarks=jac_landmarks,
+            jac_dofs=jac_dofs,
+            jac_index=(jac_landmarks[:, None] * 3 + np.arange(3)) * N_DOF + jac_dofs[:, None],
         )
 
 
@@ -362,12 +377,20 @@ def landmark_jacobians(skeleton: HandSkeleton, angles):
     """
     origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, _angle_rows(angles))
     points = _landmark_points(skeleton, origins, rotations)
-    # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian
-    rx, ry, rz = (points[:, :, c, None] - dof_origins[:, None, :, c] for c in range(3))
-    ax, ay, az = (dof_axes[:, None, :, c] for c in range(3))       # (N, 1, 22) each
-    jac = np.stack([ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx], axis=2)
-    jac *= skeleton.landmark_dof_mask[:, None, :] * (np.pi / 180.0)
-    return points, jac
+    tables = skeleton._fk_tables
+    # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian,
+    # at the (landmark, DoF) pairs where the landmark moves with the DoF
+    r = points[:, tables.jac_landmarks] - dof_origins[:, tables.jac_dofs]     # (N, P, 3)
+    a = dof_axes[:, tables.jac_dofs]
+    cross = np.empty_like(r)
+    cross[..., 0] = a[..., 1] * r[..., 2] - a[..., 2] * r[..., 1]
+    cross[..., 1] = a[..., 2] * r[..., 0] - a[..., 0] * r[..., 2]
+    cross[..., 2] = a[..., 0] * r[..., 1] - a[..., 1] * r[..., 0]
+    cross *= np.pi / 180.0
+    n = len(points)
+    jac = np.zeros((n, N_LANDMARKS * 3 * N_DOF))
+    jac[:, tables.jac_index] = cross
+    return points, jac.reshape(n, N_LANDMARKS, 3, N_DOF)
 
 
 def mirror_pose(angles: JointAngles22) -> JointAngles22:

@@ -64,6 +64,20 @@ def test_emg_per_op_streams_independent():
     assert shift.size >= 1  # the first raw row appears at the jitter offset
 
 
+@pytest.mark.parametrize("n", [1, 20, 79, 80, 81, 200])
+def test_emg_jitter_keeps_the_sample_count(n):
+    """Jitter shifts by at most 80 samples (40 ms at 2 kHz) with edge padding;
+    a window no longer than the shift becomes copies of one edge sample."""
+    ramp = np.repeat(np.arange(n, dtype=float)[:, None], N_CHANNELS, axis=1)
+    jitter_only = augment.EmgAugConfig(channel_dropout_p=0.0, n_freq_masks=0,
+                                       max_mask_bins=0, noise_p=0.0, jitter_ms=40.0)
+    shifted = {s: np.clip(ramp - s, 0, n - 1) for s in range(-80, 81)}
+    for seed in range(40):
+        out = augment.augment_emg(EmgWindow(samples=ramp), seed=seed, config=jitter_only)
+        assert out.samples.shape == (n, N_CHANNELS)
+        assert any(np.array_equal(out.samples, expect) for expect in shifted.values())
+
+
 def test_emg_dropout_zeroes_whole_channels():
     rng = np.random.default_rng(4)
     win = _window(rng)

@@ -427,6 +427,17 @@ def test_eval_command(capsys, tmp_path):
     assert len(body) == 1 + 1 + 7 + 3  # header, overall, fingers, phalanges
 
 
+def test_eval_rejects_empty_angle_blocks(capsys, tmp_path):
+    pred_p, gt_p = tmp_path / "p.egl", tmp_path / "g.egl"
+    for path in (pred_p, gt_p):
+        ds.write_blocks(path, {"type": "angles"}, {"angles": np.zeros((0, 22))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "eval", "--pred", str(pred_p), "--gt", str(gt_p))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: InvalidInputError: ")
+
+
 # a minimal valid command line per subcommand (files need not exist: only
 # parsing is exercised)
 MINIMAL_ARGV = {

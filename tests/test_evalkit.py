@@ -27,6 +27,18 @@ def test_mae_matches_double_loop():
     assert abs(ek.mae(pred, gt) - acc / (50 * 22)) < 1e-12
 
 
+def test_mae_takes_any_matching_shape_and_rejects_empty_or_non_finite_input():
+    assert ek.mae(1.0, 3.5) == 2.5
+    assert ek.mae([1.0, -1.0], [0.0, 0.0]) == 1.0
+    assert ek.mae(np.ones((2, 3, 4)), np.zeros((2, 3, 4))) == 1.0
+    bad = [(np.zeros((0, 22)), np.zeros((0, 22))), ([], [])]
+    for value in (np.nan, np.inf, -np.inf):
+        bad += [([[value]], [[0.0]]), ([[0.0]], [[value]])]
+    for pred, gt in bad:
+        with pytest.raises(InvalidInputError):
+            ek.mae(pred, gt)
+
+
 def test_records_recombine_to_mae():
     """The per-sample error rows of one user pool back to the MAE."""
     rng = np.random.default_rng(1)

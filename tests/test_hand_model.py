@@ -242,6 +242,19 @@ def test_jacobian_matches_central_differences(skeleton):
             assert np.abs(jac[:, :, j] - num).max() / denom < 1e-6
 
 
+def test_jacobian_is_zero_outside_the_landmark_dof_mask(skeleton):
+    mask = skeleton.landmark_dof_mask
+    assert mask.sum() == 100
+    rng = np.random.default_rng(8)
+    poses = rng.uniform(skeleton.limits[:, 0], skeleton.limits[:, 1], size=(300, 22))
+    _, jac = hm.landmark_jacobians(skeleton, poses)
+    by_pair = np.swapaxes(jac, 2, 3)            # (N, 20, 22, 3)
+    assert not np.any(by_pair[:, ~mask])
+    assert np.any(by_pair[:, mask])
+    points, jac = hm.landmark_jacobians(skeleton, np.zeros((0, 22)))
+    assert points.shape == (0, 20, 3) and jac.shape == (0, 20, 3, 22)
+
+
 def test_mirror_pose_involution():
     rng = np.random.default_rng(3)
     values = rng.uniform(-40, 40, size=22)
