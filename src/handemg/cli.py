@@ -37,17 +37,32 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# libyaml's scanner and parser when PyYAML was built with them; PyYAML's
+# Python constructor and resolver build the values under either loader
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml composes nested nodes by C recursion and overflows the C stack near
+# 20,000 levels. A level takes at least one byte, so a file of at most this
+# size can neither do that nor nest a value too deep for Python to print in an
+# error message; a larger file takes the pure-Python loader, which raises
+# RecursionError instead.
+_LIBYAML_MAX_BYTES = 1024
+
+
 def _load_config(path, kind="bad-config"):
     """The YAML mapping in `path`; a malformed file is a `kind` data error."""
     if path is None:
         return {}
     # read as bytes, so that text that is not UTF-8 is a YAML error too
     with open(path, "rb") as f:
-        try:
-            cfg = yaml.safe_load(f) or {}
-        except yaml.YAMLError as exc:
-            # one line: the YAML message spans several
-            raise DataFormatError(kind, f"{path}: {' '.join(str(exc).split())}") from None
+        text = f.read()
+    loader = _YAML_LOADER if len(text) <= _LIBYAML_MAX_BYTES else yaml.SafeLoader
+    try:
+        cfg = yaml.load(text, Loader=loader) or {}
+    except yaml.YAMLError as exc:
+        # one line: the YAML message spans several
+        raise DataFormatError(kind, f"{path}: {' '.join(str(exc).split())}") from None
+    except RecursionError:
+        raise DataFormatError(kind, f"{path}: YAML nested too deeply") from None
     if not isinstance(cfg, dict):
         raise DataFormatError(kind, f"{path} must hold a mapping")
     return cfg
@@ -200,10 +215,11 @@ def _read_mesh(path):
         if not parts or parts[0].startswith("#"):
             continue
         try:
-            if parts[0] == "v" and len(parts) == 4:
-                vertices.append([float(x) for x in parts[1:]])
-            elif parts[0] == "f" and len(parts) == 4:
-                faces.append([int(x) for x in parts[1:]])   # 0-based indices
+            tag, a, b, c = parts   # any other token count is a ValueError too
+            if tag == "v":
+                vertices.append((float(a), float(b), float(c)))
+            elif tag == "f":
+                faces.append((int(a), int(b), int(c)))   # 0-based indices
             else:
                 raise ValueError
         except ValueError:
@@ -215,6 +231,13 @@ def _read_mesh(path):
         raise DataFormatError("bad-mesh", f"{path}: {exc}") from exc
 
 
+def _holds_bool(value):
+    """Whether a YAML value is a boolean or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _read_camera(path):
     cfg = _load_config(path, kind="bad-camera")
     try:
@@ -223,6 +246,12 @@ def _read_camera(path):
                       [0.0, 0.0, 1.0]], dtype=float)
         rotation = np.asarray(cfg.get("rotation", np.eye(3).tolist()), float)
         translation = np.asarray(cfg.get("translation", [0.0, 0.0, 0.0]), float)
+        # numpy reads true and false as 1.0 and 0.0; the conversions above
+        # bound the nesting that this walk meets to numpy's 64 dimensions
+        for name in ("fx", "fy", "cx", "cy", "rotation", "translation"):
+            if _holds_bool(cfg.get(name)):
+                raise DataFormatError("bad-camera", f"{path}: {name} must be numbers, "
+                                      f"not booleans")
         return occlusion.PinholeCamera(
             intrinsics=k, rotation=rotation.reshape(3, 3),
             translation=translation, width=cfg["width"], height=cfg["height"])
@@ -236,12 +265,14 @@ def _cmd_occlude(args):
     mesh = _read_mesh(args.mesh)
     camera = _read_camera(args.camera)
     report = occlusion.self_occlusion_score(mesh, camera)
+    # write before printing, so that a failed write leaves no partial stdout
+    if args.depth:
+        buffer = report.depth_buffer
+        np.where(np.isfinite(buffer), buffer, 0.0).astype("<f4").tofile(args.depth)
     print(f"s_occ,{report.s_occ:.9f}")
     print("visible," + ",".join("1" if v else "0"
                                 for v in report.visible_vertex_flags))
     if args.depth:
-        buffer = report.depth_buffer
-        np.where(np.isfinite(buffer), buffer, 0.0).astype("<f4").tofile(args.depth)
         print(f"wrote {args.depth} ({camera.height}x{camera.width} float32)")
 
 
@@ -295,6 +326,10 @@ def _cmd_eval(args):
     _, gt = datastore.read_blocks(args.gt)
     if "angles" not in pred or "angles" not in gt:
         raise DataFormatError("bad-manifest", "both files need an angles block")
+    for path, angles in ((args.pred, pred["angles"]), (args.gt, gt["angles"])):
+        if angles.ndim != 2 or angles.shape[1] != N_DOF:
+            raise DataFormatError("bad-input", f"{path}: expected a (T, {N_DOF}) angles "
+                                  f"block, got shape {angles.shape}")
     overall = evalkit.mae(pred["angles"], gt["angles"])
     errors = np.abs(pred["angles"] - gt["angles"])
     rows = [("overall", overall)]

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from handemg import augment, cli, datastore as ds, emg_dsp, errors, graph_features, occlusion
 from handemg.errors import DataFormatError
@@ -286,6 +287,11 @@ _CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
     (_MESH, {"fx": '"abc"'}, "bad-camera: {camera}:"),
     (_MESH, {"fx": "nan"}, "bad-camera: {camera}: intrinsics must"),
     (_MESH, {"fx": "null"}, "bad-camera: {camera}: intrinsics must"),
+    (_MESH, {"fx": "true"}, "bad-camera: {camera}: fx must be numbers, not booleans"),
+    (_MESH, {"rotation": "[[1, 0, 0], [0, true, 0], [0, 0, 1]]"},
+     "bad-camera: {camera}: rotation must be numbers, not booleans"),
+    (_MESH, {"translation": "[0, false, 5]"},
+     "bad-camera: {camera}: translation must be numbers, not booleans"),
     (_MESH, {"rotation": "[1, 2]"}, "bad-camera: {camera}:"),
     (_MESH, {"translation": "[0, .inf, 0]"}, "bad-camera: {camera}: translation must"),
     (_MESH, {"width": '"x"'}, "bad-camera: {camera}: resolution must"),
@@ -295,8 +301,8 @@ _CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
      "bad-camera: {camera}: resolution 100000x100000 exceeds"),
 ], ids=["face-float-index", "vertex-not-a-number", "face-index-overflow",
         "face-index-out-of-range", "vertex-nan", "vertex-inf", "fx-string", "fx-nan",
-        "fx-null", "rotation-two-values", "translation-inf", "width-string",
-        "width-float", "height-bool", "too-many-pixels"])
+        "fx-null", "fx-bool", "rotation-bool", "translation-bool", "rotation-two-values",
+        "translation-inf", "width-string", "width-float", "height-bool", "too-many-pixels"])
 def test_malformed_mesh_or_camera_exit_2(capsys, tmp_path, mesh, camera, detail):
     mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
     mesh_path.write_text(mesh)
@@ -316,9 +322,11 @@ _CAMERA_TEXT = "".join(f"{k}: {v}\n" for k, v in _CAMERA.items()).encode()
     (_MESH.encode(), b"fx: [1\n", "bad-camera"),
     (_MESH.encode(), b"- 1\n- 2\n", "bad-camera"),
     (_MESH.encode(), _CAMERA_TEXT + b"\xff\xfe: 1\n", "bad-camera"),
+    (_MESH.encode(), _CAMERA_TEXT + b"rotation:\n" + b"- " * 470 + b"1\n", "bad-camera"),
+    (_MESH.encode(), _CAMERA_TEXT + b"rotation:\n" + b"- " * 30_000 + b"1\n", "bad-camera"),
     (b"v 0 0 0\n\xff\xfe\n", _CAMERA_TEXT, "bad-mesh"),
 ], ids=["camera-yaml-unclosed-list", "camera-not-a-mapping", "camera-not-utf8",
-        "mesh-not-utf8"])
+        "camera-nested-470-deep", "camera-nested-30000-deep", "mesh-not-utf8"])
 def test_unreadable_mesh_or_camera_file_exit_2(capsys, tmp_path, mesh, camera, kind):
     mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
     mesh_path.write_bytes(mesh)
@@ -369,6 +377,16 @@ def test_occlude_depth_file_is_the_rasterized_buffer(capsys, tmp_path):
     assert np.isfinite(buffer).any() and np.isinf(buffer).any()
     expect = np.where(np.isfinite(buffer), buffer, 0.0).astype("<f4").tobytes()
     assert depth.read_bytes() == expect
+
+
+def test_occlude_depth_write_failure_prints_nothing(capsys, tmp_path):
+    mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
+    mesh_path.write_text(_MESH)
+    cam_path.write_bytes(_CAMERA_TEXT)
+    code, out, err = _run(capsys, "occlude", "--mesh", str(mesh_path), "--camera",
+                          str(cam_path), "--depth", str(tmp_path / "missing" / "depth.f32"))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: FileNotFoundError: ")
 
 
 def test_graph_pe_command(capsys):
@@ -436,6 +454,16 @@ def test_eval_rejects_empty_angle_blocks(capsys, tmp_path):
         code, out, err = _run(capsys, "eval", "--pred", str(pred_p), "--gt", str(gt_p))
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("error: InvalidInputError: ")
+
+
+@pytest.mark.parametrize("n_columns", [21, 23])
+def test_eval_rejects_angle_blocks_not_22_wide(capsys, tmp_path, n_columns):
+    pred_p, gt_p = tmp_path / "p.egl", tmp_path / "g.egl"
+    for path in (pred_p, gt_p):
+        ds.write_blocks(path, {"type": "angles"}, {"angles": np.zeros((5, n_columns))})
+    code, out, err = _run(capsys, "eval", "--pred", str(pred_p), "--gt", str(gt_p))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: bad-input: {pred_p}: expected a (T, 22)")
 
 
 # a minimal valid command line per subcommand (files need not exist: only
@@ -627,3 +655,39 @@ def test_text_input_mutations_exit_0_or_2_with_a_documented_kind(capsys, tmp_pat
                 assert last.split(":", 2)[1].strip() in _CLI_ERROR_KINDS, (name, mutant, err)
             outcomes.add(code)
         assert outcomes == {0, 2}, name
+
+
+def test_libyaml_and_pure_python_loaders_give_one_outcome(monkeypatch, tmp_path):
+    """Every camera and augment-config mutant of the mutation loop gives equal
+    values, or the same error kind, under the module's YAML loader and under
+    pure-Python PyYAML. The extra config is the one mutant known to part the
+    two parsers: libyaml rejects it, PyYAML reads `[25.0, {35.0: None}]`."""
+    extra = {"augment-emg --config": ["noise_snr_db: [25.0, 35.:]\n"]}
+
+    def outcome(name, path):
+        try:
+            if name == "occlude --camera":
+                camera = cli._read_camera(path)
+                return "ok", repr([np.asarray(getattr(camera, f.name)).tolist()
+                                   for f in dataclasses.fields(camera)])
+            config = cli._load_config(path)
+            return "ok", repr(cli._dataclass_from_config(augment.EmgAugConfig, config))
+        except DataFormatError as exc:
+            return "error", exc.kind
+
+    rng = np.random.default_rng(2027)
+    path = tmp_path / "input.txt"
+    for name, text, _, n_substitutions in _text_input_cases(tmp_path):
+        # draw every case's mutants, so that each matches the CLI mutation loop
+        mutants = list(_text_mutations(text, rng, n_substitutions)) + extra.get(name, [])
+        if name not in ("occlude --camera", "augment-emg --config"):
+            continue
+        seen = set()
+        for mutant in mutants:
+            path.write_text(mutant)
+            fast = outcome(name, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+                assert outcome(name, path) == fast, (name, mutant)
+            seen.add(fast[0])
+        assert seen == {"ok", "error"}, name
