@@ -374,7 +374,10 @@ def read_blocks(path):
         raw = payload[start:end]
         if zlib.crc32(raw) != block["crc32"]:
             raise DataFormatError("checksum", f"block {name} is corrupt")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        try:    # numpy's limits: at most 64 dimensions, each below 2**63
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as exc:
+            raise DataFormatError("bad-manifest", f"block {name}: {exc}") from exc
         if end > start:         # an empty block overlaps nothing
             extents.append((start, end, name))
     extents.sort()

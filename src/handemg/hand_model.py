@@ -73,6 +73,11 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def _is_point(values: np.ndarray) -> bool:
+    """Whether `values` is a finite 3-vector."""
+    return values.shape == (3,) and bool(np.all(np.isfinite(values)))
+
+
 def _skew(axis: np.ndarray) -> np.ndarray:
     """Cross-product matrices K (..., 3, 3) of axes (..., 3): K @ v = axis x v."""
     x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
@@ -221,8 +226,8 @@ class HandSkeleton:
         limits = _read_only(self.limits)
         if limits.shape != (N_DOF, 2):
             raise ConfigurationError(f"limits must have shape ({N_DOF}, 2), got {limits.shape}")
-        if not np.all(limits[:, 0] < limits[:, 1]):
-            raise ConfigurationError("every DoF requires a_min < a_max")
+        if not (np.all(np.isfinite(limits)) and np.all(limits[:, 0] < limits[:, 1])):
+            raise ConfigurationError("every DoF requires finite a_min < a_max")
         object.__setattr__(self, "limits", limits)
         object.__setattr__(self, "landmark_map", tuple(
             (bone, _read_only(offset)) for bone, offset in self.landmark_map))
@@ -231,7 +236,10 @@ class HandSkeleton:
             if not (-1 <= bone.parent < i):
                 raise ConfigurationError(
                     f"bone {i} ({bone.name}): parent {bone.parent} must precede it (tree order)")
-            if abs(np.linalg.norm(bone.axis) - 1.0) > 1e-9:
+            if not _is_point(bone.offset):
+                raise ConfigurationError(f"bone {i} ({bone.name}): offset must be a finite "
+                                         f"3-vector")
+            if not (bone.axis.shape == (3,) and abs(np.linalg.norm(bone.axis) - 1.0) <= 1e-9):
                 raise ConfigurationError(f"bone {i} ({bone.name}): rotation axis must be unit-norm")
             if bone.dof is not None:
                 if not 0 <= bone.dof < N_DOF:
@@ -243,9 +251,13 @@ class HandSkeleton:
             raise ConfigurationError(f"skeleton drives {len(seen_dofs)} DoFs, expected {N_DOF}")
         if sum(b.parent == -1 for b in self.bones) != 1:
             raise ConfigurationError("bone graph must be a tree with a single wrist root")
-        if len(self.landmark_map) != N_LANDMARKS:
-            raise ConfigurationError(f"landmark_map must define {N_LANDMARKS} landmarks")
-        if len(self.fingertip_indices) != 5:
+        if len(self.landmark_map) != N_LANDMARKS or not all(
+                0 <= bone < len(self.bones) and _is_point(offset)
+                for bone, offset in self.landmark_map):
+            raise ConfigurationError(f"landmark_map must attach {N_LANDMARKS} landmarks to "
+                                     f"bones at finite 3-vector offsets")
+        if len(self.fingertip_indices) != 5 or not all(
+                0 <= i < N_LANDMARKS for i in self.fingertip_indices):
             raise ConfigurationError("fingertip_indices must list 5 landmarks")
 
     @cached_property
@@ -316,13 +328,13 @@ class HandSkeleton:
 
 
 def _fk_state(skeleton: HandSkeleton, values: np.ndarray):
-    """Bone world origins and rotations, and per-DoF world axes and origins.
+    """Landmarks (N, 20, 3), and each DoF's world axis (N, 22, 3) and world
+    origin (N, 22, 3), for an (N, 22) angle array `values`.
 
-    `values` is an (N, 22) angle array. Origins (N, B + 1, 3) and rotations
-    (N, B + 1, 3, 3) are indexed by level-order slot and end in the identity
-    "world" slot. The tree is composed one depth level per step: every bone
-    of a level reads its parent from the level above. Rigid bones read a
-    fixed 0 degrees, whose rotation is exactly the identity.
+    The bones' world origins and rotations are composed one depth level per
+    step, indexed by level-order slot and ending in the identity "world"
+    slot: every bone of a level reads its parent from the level above. Rigid
+    bones read a fixed 0 degrees, whose rotation is exactly the identity.
     """
     tables = skeleton._fk_tables
     n, n_bones = len(values), len(tables.columns)
@@ -336,14 +348,13 @@ def _fk_state(skeleton: HandSkeleton, values: np.ndarray):
         parent_r = rotations[:, parents]
         origins[:, slots] = origins[:, parents] + (parent_r @ offsets)[..., 0]
         rotations[:, slots] = parent_r @ local[:, slots]
-    dof_axes = (rotations[:, tables.dof_parent_slots] @ tables.dof_axes)[..., 0]
-    return origins, rotations, dof_axes, origins[:, tables.dof_slots]
-
-
-def _landmark_points(skeleton: HandSkeleton, origins, rotations) -> np.ndarray:
-    tables = skeleton._fk_tables
+    # np.take keeps the landmarks C-ordered, frame by frame, where fancy
+    # indexing would put the landmark axis outermost in memory
     slots = tables.landmark_slots
-    return origins[:, slots] + (rotations[:, slots] @ tables.landmark_offsets)[..., 0]
+    points = (np.take(origins, slots, axis=1)
+              + (np.take(rotations, slots, axis=1) @ tables.landmark_offsets)[..., 0])
+    dof_axes = (rotations[:, tables.dof_parent_slots] @ tables.dof_axes)[..., 0]
+    return points, dof_axes, origins[:, tables.dof_slots]
 
 
 def _angle_rows(angles) -> np.ndarray:
@@ -359,8 +370,7 @@ def _angle_rows(angles) -> np.ndarray:
 def landmark_positions(skeleton: HandSkeleton, angles) -> np.ndarray:
     """Landmark positions (N, 20, 3), mm and wrist-relative, for an (N, 22)
     array of joint angles in degrees."""
-    origins, rotations, _, _ = _fk_state(skeleton, _angle_rows(angles))
-    return _landmark_points(skeleton, origins, rotations)
+    return _fk_state(skeleton, _angle_rows(angles))[0]
 
 
 def forward_kinematics(skeleton: HandSkeleton, angles: JointAngles22) -> LandmarkSet:
@@ -375,8 +385,7 @@ def landmark_jacobians(skeleton: HandSkeleton, angles):
     Returns (points, jac) with points (N, 20, 3) mm and jac (N, 20, 3, 22) in
     mm per degree: jac[n, i, :, j] = d points[n, i] / d angles[n, j].
     """
-    origins, rotations, dof_axes, dof_origins = _fk_state(skeleton, _angle_rows(angles))
-    points = _landmark_points(skeleton, origins, rotations)
+    points, dof_axes, dof_origins = _fk_state(skeleton, _angle_rows(angles))
     tables = skeleton._fk_tables
     # revolute-joint rule: dp/dtheta = axis x (p - joint_origin), per radian,
     # at the (landmark, DoF) pairs where the landmark moves with the DoF
@@ -436,23 +445,38 @@ def save_skeleton(skeleton: HandSkeleton, path) -> None:
         yaml.safe_dump(doc, fh, sort_keys=False)
 
 
+def _integer(value) -> int:
+    """A YAML integer as it is; a float or a boolean is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def load_skeleton(path) -> HandSkeleton:
-    """Read a skeleton config file written by `save_skeleton`."""
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    """Read a skeleton config file written by `save_skeleton`. A file that is
+    not valid YAML, or not a valid skeleton, raises ConfigurationError."""
+    with open(path, "rb") as fh:
+        try:
+            doc = yaml.safe_load(fh)
+        except (yaml.YAMLError, RecursionError) as exc:
+            raise ConfigurationError(f"{path}: not a YAML file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SKELETON_FORMAT:
         raise ConfigurationError(f"unsupported skeleton file format: {doc.get('format')!r}"
                                  if isinstance(doc, dict) else "not a skeleton config file")
-    bones = tuple(
-        Bone(parent=int(b["parent"]), offset=b["offset"], axis=b["axis"],
-             dof=None if b["dof"] is None else int(b["dof"]), name=str(b["name"]))
-        for b in doc["bones"]
-    )
-    landmark_map = tuple((int(e["bone"]), np.asarray(e["offset"], float))
-                         for e in doc["landmark_map"])
-    return HandSkeleton(bones=bones, limits=np.asarray(doc["limits"], float),
-                        landmark_map=landmark_map,
-                        fingertip_indices=tuple(int(i) for i in doc["fingertip_indices"]))
+    try:
+        bones = tuple(
+            Bone(parent=_integer(b["parent"]), offset=b["offset"], axis=b["axis"],
+                 dof=None if b["dof"] is None else _integer(b["dof"]), name=str(b["name"]))
+            for b in doc["bones"]
+        )
+        landmark_map = tuple((_integer(e["bone"]), np.asarray(e["offset"], float))
+                             for e in doc["landmark_map"])
+        limits = np.asarray(doc["limits"], float)
+        fingertip_indices = tuple(_integer(i) for i in doc["fingertip_indices"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: malformed skeleton: {exc!r}") from exc
+    return HandSkeleton(bones=bones, limits=limits, landmark_map=landmark_map,
+                        fingertip_indices=fingertip_indices)
 
 
 @cache

@@ -7,11 +7,13 @@ stays strictly inside the joint limits. The fit is a least-squares problem:
 zero at the solution for clean targets. `fit_batch` solves it for an
 (N, 20, 3) target array in lockstep: one Levenberg-Marquardt on the analytic
 FK Jacobian, which converges quadratically near a zero-residual solution,
-runs every frame at once with per-frame damping and stopping, and the
-starting points are tried in rounds over the frames not yet fitted. Every
-product is a stacked matmul and every solve a batched one, so a frame's
-result depends only on its own targets. It returns one record of arrays;
-`fit_joint_angles` is the one-frame case.
+runs every frame at once with per-frame damping and stopping. Each frame
+has at most two deterministic starts: the mid-range pose with the wrist
+set by Procrustes, then, for a frame the first does not fit exactly, that
+pose with every finger DoF set in closed form. Every product is a stacked
+matmul and every solve a batched one, so a frame's result depends only on
+its own targets. It returns one record of arrays; `fit_joint_angles` is
+the one-frame case.
 
 `lbfgs_minimize` is a general minimizer of any (loss, gradient) objective:
 L-BFGS with a strong Wolfe line search, at fixed settings (100 accepted
@@ -40,6 +42,7 @@ from .hand_model import (
     JointAngles22,
     LandmarkSet,
     forward_kinematics,  # unused here; benchmark/tests read ik.forward_kinematics
+    _fk_state,
     landmark_jacobians,
 )
 
@@ -260,14 +263,6 @@ def lbfgs_minimize(objective, z0):
     return x, trace
 
 
-# residual (mm^2) below which a solve is accepted without trying further
-# starting points; stuck local minima sit orders of magnitude above this
-_ACCEPT_MSE = 0.2
-# restarts perturb the wrist-aligned start rather than sampling globally:
-# the wrist basin is almost always right and only the finger DoFs need a kick
-_N_PERTURBED_RESTARTS = 4
-_RESTART_SIGMA = 0.75
-
 # Levenberg-Marquardt per start: initial damping relative to diag(J^T J),
 # the step budget, the mean squared landmark error (mm^2, 1e-8 mm RMS) that
 # counts as an exact fit, and the relative decrease of an accepted step below
@@ -366,6 +361,36 @@ def _wrist_aligned_start(targets: np.ndarray, skeleton: HandSkeleton) -> np.ndar
     return inverse_sigmoid_reparam(np.clip(start, lo + pad, hi - pad), limits)
 
 
+def _finger_sweep_start(targets: np.ndarray, skeleton: HandSkeleton) -> np.ndarray:
+    """The wrist-aligned starts (N, 22) in z with every finger DoF set in
+    closed form for targets (N, 20, 3).
+
+    With the wrist fixed the five fingers move disjoint landmarks, so the
+    k-th DoF of all five (DoFs k, 4 + k, ..., 16 + k) is set at once, for
+    k = 0..3 and in two sweeps: 8 FK evaluations. Each DoF takes the exact
+    minimiser of the squared error of the landmarks it moves: with a its
+    world axis and v, t the current and target landmarks relative to its
+    origin, its angle moves by atan2(sum a.(v x t), sum v.t - (a.v)(a.t)).
+    Angles are clipped 1% inside the limits.
+    """
+    limits = skeleton.limits
+    pad = 0.01 * (limits[:, 1] - limits[:, 0])
+    lo, hi = limits[:, 0] + pad, limits[:, 1] - pad
+    angles = sigmoid_reparam(_wrist_aligned_start(targets, skeleton), limits)
+    for k in (0, 1, 2, 3) * 2:
+        dofs = np.arange(k, WRIST_FE, 4)
+        points, axes, origins = _fk_state(skeleton, angles)
+        a = axes[:, dofs, None]                         # (N, 5, 1, 3)
+        v = points[:, None] - origins[:, dofs, None]    # (N, 5, 20, 3)
+        t = targets[:, None] - origins[:, dofs, None]
+        moved = skeleton.landmark_dof_mask[:, dofs].T   # (5, 20)
+        sin = np.sum(np.vecdot(a, np.cross(v, t)) * moved, axis=-1)
+        cos = np.sum((np.vecdot(v, t) - np.vecdot(a, v) * np.vecdot(a, t)) * moved, axis=-1)
+        angles[:, dofs] = np.clip(angles[:, dofs] + np.degrees(np.arctan2(sin, cos)),
+                                  lo[dofs], hi[dofs])
+    return inverse_sigmoid_reparam(angles, limits)
+
+
 class IkBatchResult(NamedTuple):
     """The fits of N frames, one array per field, frame k in row k."""
 
@@ -379,33 +404,21 @@ class IkBatchResult(NamedTuple):
 
 def _fit_block(targets: np.ndarray, skeleton: HandSkeleton) -> IkBatchResult:
     """`fit_batch` of at most _BLOCK_FRAMES frames, all in lockstep."""
-    n = len(targets)
-    z_aligned = _wrist_aligned_start(targets, skeleton)
-    restart_rng = np.random.Generator(np.random.Philox(key=0))
-    kicks = restart_rng.normal(size=(_N_PERTURBED_RESTARTS, N_DOF)) * _RESTART_SIGMA
-    rounds = [z_aligned, np.zeros_like(z_aligned)] + [z_aligned + kick for kick in kicks]
+    angles, points, mse, converged, steps = _lm_solve(_wrist_aligned_start(targets, skeleton),
+                                                     targets, skeleton)
+    starts = np.ones(len(targets), dtype=int)
+    retry = np.flatnonzero(mse > _LM_EXACT_MSE)
+    if retry.size:
+        second = _lm_solve(_finger_sweep_start(targets[retry], skeleton), targets[retry],
+                           skeleton)
+        steps[retry] += second[4]
+        starts[retry] = 2
+        better = second[2] < mse[retry]
+        for best, fit in zip((angles, points, mse, converged), second):
+            best[retry[better]] = fit[better]
 
-    best_angles, best_points = np.empty((n, N_DOF)), np.empty((n, N_LANDMARKS, 3))
-    best_mse = np.full(n, np.inf)
-    converged = np.zeros(n, dtype=bool)
-    steps = np.zeros(n, dtype=int)
-    starts = np.zeros(n, dtype=int)
-    pending = np.arange(n)
-    for z_start in rounds:
-        if not pending.size:
-            break
-        angles, points, mse, solved, used = _lm_solve(z_start[pending], targets[pending],
-                                                      skeleton)
-        steps[pending] += used
-        starts[pending] += 1
-        better = mse < best_mse[pending]
-        improved = pending[better]
-        best_angles[improved], best_points[improved] = angles[better], points[better]
-        best_mse[improved], converged[improved] = mse[better], solved[better]
-        pending = pending[best_mse[pending] > _ACCEPT_MSE]
-
-    per_landmark = np.linalg.norm(best_points - targets, axis=2)
-    return IkBatchResult(angles=best_angles, residual_mse=np.mean(per_landmark ** 2, axis=1),
+    per_landmark = np.linalg.norm(points - targets, axis=2)
+    return IkBatchResult(angles=angles, residual_mse=np.mean(per_landmark ** 2, axis=1),
                          per_landmark_error=per_landmark, converged=converged,
                          iterations_used=steps, starts_used=starts)
 
@@ -414,10 +427,10 @@ def fit_batch(targets, skeleton: HandSkeleton) -> IkBatchResult:
     """Recover 22 joint angles per frame whose FK landmarks match the target
     landmarks (N, 20, 3) in mm, all frames in lockstep.
 
-    Starting points are tried in rounds: the wrist-aligned mid-range pose,
-    the mid-range pose, then a fixed set of seeded perturbations of the
-    first. Each round solves only the frames whose best residual is not yet
-    acceptable, and each frame keeps its best solve. A frame's result depends
+    Every frame is solved from the wrist-aligned mid-range pose; a frame
+    that this does not fit exactly (squared error above _LM_EXACT_MSE) is
+    solved once more from the finger-sweep start and keeps the better of its
+    two fits. So no frame is solved more than twice. A frame's result depends
     only on its own targets: it is the same, bit for bit, whether a sequence
     is fitted whole, frame by frame or in chunks, and from call to call.
     Frames are solved _BLOCK_FRAMES at a time.

@@ -65,6 +65,8 @@ class TriangleMesh:
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise InvalidInputError("triangle index out of range")
         areas = triangle_areas(vertices, triangles)
+        if not np.isfinite(areas).all():
+            raise InvalidInputError("triangle areas overflow: vertices too far apart")
         if triangles.size and areas.min() < _MIN_TRIANGLE_AREA_MM2:
             raise InvalidInputError(
                 f"degenerate triangle with area {areas.min():.3g} mm^2")
@@ -115,8 +117,11 @@ class OcclusionReport:
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Triangle areas (M,), mm^2; inf or nan, with no warning, where the
+    arithmetic overflows."""
     a, b, c = (vertices[triangles[:, i]] for i in range(3))
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
 def transform_to_camera(mesh: TriangleMesh, camera: PinholeCamera) -> TriangleMesh:

@@ -284,6 +284,8 @@ _CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
     (_MESH + "f 0 1 3\n", {}, "bad-mesh: {mesh}: triangle index out of range"),
     (_MESH.replace("v 50 -50 800", "v nan -50 800"), {}, "bad-mesh: {mesh}: vertices must"),
     (_MESH.replace("v 50 -50 800", "v inf -50 800"), {}, "bad-mesh: {mesh}: vertices must"),
+    (_MESH.replace("v 50 -50 800", "v 1e300 -50 800"), {},
+     "bad-mesh: {mesh}: triangle areas overflow"),
     (_MESH, {"fx": '"abc"'}, "bad-camera: {camera}:"),
     (_MESH, {"fx": "nan"}, "bad-camera: {camera}: intrinsics must"),
     (_MESH, {"fx": "null"}, "bad-camera: {camera}: intrinsics must"),
@@ -300,7 +302,7 @@ _CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
     (_MESH, {"width": "100000", "height": "100000"},
      "bad-camera: {camera}: resolution 100000x100000 exceeds"),
 ], ids=["face-float-index", "vertex-not-a-number", "face-index-overflow",
-        "face-index-out-of-range", "vertex-nan", "vertex-inf", "fx-string", "fx-nan",
+        "face-index-out-of-range", "vertex-nan", "vertex-inf", "area-overflow", "fx-string", "fx-nan",
         "fx-null", "fx-bool", "rotation-bool", "translation-bool", "rotation-two-values",
         "translation-inf", "width-string", "width-float", "height-bool", "too-many-pixels"])
 def test_malformed_mesh_or_camera_exit_2(capsys, tmp_path, mesh, camera, detail):

@@ -151,6 +151,17 @@ def test_corrupt_files_raise(tmp_path):
         ds.read_blocks(bad)
     assert err.value.kind == "bad-manifest"
 
+    # shapes numpy cannot make, with the sizes and checksums of their payloads
+    payload = np.arange(1.0).tobytes()
+    for shape, data in (([1] * 65, payload), ([0, 10**20], b"")):
+        manifest = json.dumps({"format": "EGL1", "version": 1, "meta": {}, "blocks": [
+            {"name": "x", "kind": "array", "dtype": "<f8", "shape": shape, "offset": 0,
+             "crc32": zlib.crc32(data)}]}).encode()
+        bad.write_bytes(b"EGL1" + struct.pack("<I", len(manifest)) + manifest + data)
+        with pytest.raises(DataFormatError) as err:
+            ds.read_blocks(bad)
+        assert err.value.kind == "bad-manifest"
+
 
 def test_unknown_block_kind_skipped(tmp_path):
     import json

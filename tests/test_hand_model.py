@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_pose
 from handemg import hand_model as hm
-from handemg.errors import InvalidInputError
+from handemg.errors import ConfigurationError, InvalidInputError
 
 FINGERTIPS = (3, 7, 11, 15, 19)
 
@@ -278,6 +278,53 @@ def test_skeleton_roundtrip(tmp_path, skeleton):
     assert np.array_equal(hm.forward_kinematics(skeleton, zero).points,
                           hm.forward_kinematics(loaded, zero).points)
     assert np.array_equal(loaded.limits, skeleton.limits)
+
+
+_SKELETON_TEXT = (Path(hm.__file__).parent / "assets" / "default_hand.skel").read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"bones:\n", b"bones: [\n"),
+    (_SKELETON_TEXT, b"- 1\n- 2\n"),
+    (b"bones:\n", b"bones:\n\xff\xfe\n"),
+    (b"landmark_map:", b"landmark_mapp:"),
+    (b"  dof: 21", b"  axis: 0"),
+    (b"bones:\n", b"bones: 5\nold_bones:\n"),
+    (b"  parent: -1", b"  parent: x"),
+    (b"  parent: -1", b"  parent: .inf"),
+    (b"  dof: 21", b"  dof: 20.5"),
+    (b"  - 1.0\n  dof: 21", b"  dof: 21"),
+    (b"  - 1.0\n  dof: 21", b"  - .nan\n  dof: 21"),
+    (b"- bone: 2\n", b"- bone: 99\n"),
+    (b"- - -5.0\n  - 90.0\n", b"- - -5.0\n  - .inf\n"),
+    (b"fingertip_indices:\n- 3", b"fingertip_indices:\n- 30"),
+], ids=["yaml-unclosed-list", "not-a-mapping", "not-utf8", "no-landmark_map",
+        "bone-without-dof", "bones-an-int", "parent-a-string", "parent-inf", "dof-a-float",
+        "axis-2-vector", "axis-nan", "landmark-bone-out-of-range", "limit-inf",
+        "fingertip-out-of-range"])
+def test_malformed_skeleton_file_is_a_configuration_error(tmp_path, old, new):
+    assert old in _SKELETON_TEXT
+    path = tmp_path / "hand.skel"
+    path.write_bytes(_SKELETON_TEXT.replace(old, new, 1))
+    with pytest.raises(ConfigurationError):
+        hm.load_skeleton(path)
+
+
+def test_skeleton_file_mutations_load_or_raise_a_configuration_error(tmp_path):
+    """Three random bytes changed: the file either loads as a skeleton that
+    FK can evaluate, or raises ConfigurationError."""
+    rng = np.random.default_rng(5)
+    path = tmp_path / "hand.skel"
+    for _ in range(25):
+        data = np.frombuffer(_SKELETON_TEXT, dtype=np.uint8).copy()
+        data[rng.integers(len(data), size=3)] = rng.integers(32, 127, size=3)
+        path.write_bytes(data.tobytes())
+        try:
+            skeleton = hm.load_skeleton(path)
+        except ConfigurationError:
+            continue
+        mid = skeleton.limits.mean(axis=1)[None]
+        assert np.all(np.isfinite(hm.landmark_positions(skeleton, mid)))
 
 
 def test_default_skeleton_is_one_read_only_instance():

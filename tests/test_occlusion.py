@@ -175,12 +175,17 @@ def test_validation_errors():
     for width, height in ((4096, 4097), (100000, 100000), (np.int64(2) ** 40, 2 ** 40)):
         with pytest.raises(InvalidInputError, match="exceeds"):
             occ.PinholeCamera(**dict(good, width=width, height=height))
-    # finite vertices whose projection overflows a float
+    # finite vertices whose triangle area overflows a float, with no warning
+    with pytest.raises(InvalidInputError, match="areas overflow"):
+        occ.TriangleMesh(np.array([[1e308, 0.0, 1e-3], [0.0, 1.0, 1.0],
+                                   [1.0, 0.0, 1.0]]), tri)
+    # a finite mesh whose projection overflows a float
+    far = occ.TriangleMesh(np.array([[1e150, 0.0, 1e-3], [0.0, 1.0, 1.0],
+                                     [1.0, 0.0, 1.0]]), tri)
+    wide = occ.PinholeCamera(**dict(good, intrinsics=np.diag([1e300, 1e300, 1.0])))
     with np.errstate(over="ignore"):
-        far = occ.TriangleMesh(np.array([[1e308, 0.0, 1e-3], [0.0, 1.0, 1.0],
-                                         [1.0, 0.0, 1.0]]), tri)
-        with pytest.raises(InvalidInputError):
-            occ.rasterize_depth(far, _camera())
+        with pytest.raises(InvalidInputError, match="beyond the floating-point range"):
+            occ.rasterize_depth(far, wide)
 
 
 def test_report_carries_the_depth_buffer():
