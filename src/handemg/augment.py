@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,36 +168,24 @@ def augment_emg(window: EmgWindow, seed: int,
     return replace(window, samples=x)
 
 
-def _tree_edges(graph: SkeletonGraph, root: int = 0):
-    """Edges (parent, child) in BFS order from the root; graph must be a tree."""
+@lru_cache(maxsize=16)
+def _bones(graph: SkeletonGraph) -> tuple:
+    """The tree's edges (parent, child) in BFS order from marker 0, each with
+    the sorted nodes on its child side; built once per graph."""
     if len(graph.edges) != graph.n_nodes - 1:
         raise InvalidInputError("bone-length perturbation needs a tree-shaped graph")
-    parent = {root: None}
-    order = []
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
+    parent, order = {0: None}, [0]
+    for u in order:             # breadth first: `order` grows as it is read
         for v in graph.neighbors(u):
             if v not in parent:
                 parent[v] = u
-                order.append((u, v))
-                queue.append(v)
-    if len(parent) != graph.n_nodes:
+                order.append(v)
+    if len(order) != graph.n_nodes:
         raise InvalidInputError("graph is disconnected")
-    return order
-
-
-def _subtree(graph: SkeletonGraph, child: int, parent: int):
-    """Nodes on the child side of edge (parent, child)."""
-    members = {child}
-    queue = [child]
-    while queue:
-        u = queue.pop(0)
-        for v in graph.neighbors(u):
-            if v != parent and v not in members:
-                members.add(v)
-                queue.append(v)
-    return sorted(members)
+    subtrees = {v: [v] for v in order}
+    for v in reversed(order[1:]):   # a child's subtree is complete before its parent's
+        subtrees[parent[v]] += subtrees[v]
+    return tuple((parent[v], v, sorted(subtrees[v])) for v in order[1:])
 
 
 def _neighbor_mean(points, graph, idx, fallback):
@@ -231,10 +220,10 @@ def augment_markers(markers: MarkerSet, skeleton_graph: SkeletonGraph,
     if config.bone_scale_pct > 0:
         rng = _op_rng(seed, _MK_BONE, frame)
         scales = []
-        for parent, child in _tree_edges(skeleton_graph):
+        for parent, child, subtree in _bones(skeleton_graph):
             s = 1.0 + rng.uniform(-config.bone_scale_pct, config.bone_scale_pct) / 100.0
             delta = (s - 1.0) * (p[child] - p[parent])
-            p[_subtree(skeleton_graph, child, parent)] += delta
+            p[subtree] += delta
             scales.append((parent, child, s))
         applied.append({"op": "bone_scale", "edges": scales})
 

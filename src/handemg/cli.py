@@ -264,7 +264,10 @@ def _read_camera(path):
 def _cmd_occlude(args):
     mesh = _read_mesh(args.mesh)
     camera = _read_camera(args.camera)
-    report = occlusion.self_occlusion_score(mesh, camera)
+    try:
+        report = occlusion.self_occlusion_score(mesh, camera)
+    except InvalidInputError as exc:    # the camera takes the mesh out of float range
+        raise DataFormatError("bad-camera", f"{args.camera}: {exc}") from exc
     # write before printing, so that a failed write leaves no partial stdout
     if args.depth:
         buffer = report.depth_buffer

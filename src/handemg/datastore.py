@@ -32,6 +32,8 @@ from .occlusion import PinholeCamera
 
 WINDOW_SAMPLES = 7790
 POSE_RATE_HZ = 120.0
+# longest synthetic episode, bounding the arrays that `synth_episode` allocates
+MAX_DURATION_S = 600.0
 MAGIC = b"EGL1"
 
 _SINGLE_HAND = tuple(f"ASL{i}" for i in range(1, 10)) + (
@@ -247,9 +249,9 @@ def synth_episode(seed: int, duration_s: float,
     function of the summed joint speeds, plus 50 Hz line interference, so
     filtering and featurizing have something real to find.
     """
-    if not (math.isfinite(duration_s) and duration_s >= 4.0):
-        raise InvalidInputError(f"duration must be a finite number of at least 4 s, "
-                                f"got {duration_s}")
+    if not (math.isfinite(duration_s) and 4.0 <= duration_s <= MAX_DURATION_S):
+        raise InvalidInputError(f"duration must be a finite number of at least 4 s and at "
+                                f"most {MAX_DURATION_S:g} s, got {duration_s}")
     rng = np.random.default_rng(seed)
     limits = default_skeleton().limits
     lo, hi = limits[:, 0], limits[:, 1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +53,15 @@ class SkeletonGraph:
             a[u, v] = a[v, u] = 1.0
         return a
 
+    @cached_property
+    def _neighbor_lists(self) -> dict:
+        """Each node's neighbours in ascending order, built once per graph."""
+        return {node: sorted({v for u, v in self.edges if u == node}
+                             | {u for u, v in self.edges if v == node})
+                for node in range(self.n_nodes)}
+
     def neighbors(self, node: int) -> list:
-        return sorted({v for u, v in self.edges if u == node}
-                      | {u for u, v in self.edges if v == node})
+        return list(self._neighbor_lists.get(node, ()))
 
 
 @dataclass(frozen=True)

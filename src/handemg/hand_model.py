@@ -5,6 +5,8 @@ offset from its parent (mm) and a rotation axis; most bones are driven by one
 of the 22 scalar joint angles (degrees), tip bones are rigid. Landmarks are
 points attached to bones; the default skeleton exposes the 20 finger joints
 (4 per finger: base, two inter-phalangeal joints, tip), wrist excluded.
+Landmark i is the origin of bone ``landmark_map[i]``, so it moves with the
+DoFs of that bone's strict ancestors and with no other.
 
 Angle index layout (degrees everywhere):
 
@@ -27,8 +29,7 @@ The default skeleton (`default_skeleton`, read from the packaged asset
 ``assets/default_hand.skel``, the only definition of the default hand) is a
 right hand with literature-typical bone lengths. Fingers extend along +y and
 the palm normal is +z; finger FE axes lie in the palm plane perpendicular to
-each finger, AA axes follow the palm normal. Landmark local offsets are all
-zero: landmarks sit at joint origins, with rigid tip bones supplying the
+each finger, AA axes follow the palm normal. Rigid tip bones supply the
 fingertip points.
 
 Forward kinematics is one state function over an (N, 22) angle array
@@ -41,8 +42,8 @@ skeleton builds its tables once (`HandSkeleton._fk_tables`): the bones in
 level order, each level's parent slots, and each joint axis's skew matrix K
 with K @ K, so a local rotation is I + sin(a) K + (1 - cos(a)) K^2. The
 tables also hold the (landmark, DoF) pairs of `landmark_dof_mask`: the
-Jacobian is evaluated only at those pairs (100 of 440 for the default hand)
-and is zero elsewhere.
+Jacobian is evaluated only at those pairs (85 of 440 for the default hand),
+each nonzero in some pose, and is zero elsewhere.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ def _read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
-
-
-def _is_point(values: np.ndarray) -> bool:
-    """Whether `values` is a finite 3-vector."""
-    return values.shape == (3,) and bool(np.all(np.isfinite(values)))
 
 
 def _skew(axis: np.ndarray) -> np.ndarray:
@@ -187,10 +183,9 @@ class _FkTables(NamedTuple):
     dof_slots, dof_parent_slots: the slot of the bone each DoF drives, and of
         that bone's parent.
     dof_axes: each DoF's rotation axis (22, 3, 1) in its bone's frame.
-    landmark_slots, landmark_offsets: each landmark's slot and local offset
-        (20, 3, 1).
+    landmark_slots: the slot of each landmark's bone.
     jac_landmarks, jac_dofs: the (landmark, DoF) pairs of `landmark_dof_mask`,
-        the only Jacobian entries that can be nonzero (100 of 440 for the
+        the only Jacobian entries that can be nonzero (85 of 440 for the
         default hand).
     jac_index: each pair's x, y, z entries (P, 3) in a flattened
         (20, 3, 22) Jacobian.
@@ -204,7 +199,6 @@ class _FkTables(NamedTuple):
     dof_parent_slots: np.ndarray
     dof_axes: np.ndarray
     landmark_slots: np.ndarray
-    landmark_offsets: np.ndarray
     jac_landmarks: np.ndarray
     jac_dofs: np.ndarray
     jac_index: np.ndarray
@@ -219,8 +213,7 @@ class HandSkeleton:
 
     bones: tuple
     limits: np.ndarray          # (22, 2) degrees, [a_min, a_max) rows
-    landmark_map: tuple         # 20 entries of (bone_index, local_offset)
-    fingertip_indices: tuple    # 5 landmark indices
+    landmark_map: tuple         # 20 bone indices, landmark i at bone landmark_map[i]'s origin
 
     def __post_init__(self):
         limits = _read_only(self.limits)
@@ -229,14 +222,13 @@ class HandSkeleton:
         if not (np.all(np.isfinite(limits)) and np.all(limits[:, 0] < limits[:, 1])):
             raise ConfigurationError("every DoF requires finite a_min < a_max")
         object.__setattr__(self, "limits", limits)
-        object.__setattr__(self, "landmark_map", tuple(
-            (bone, _read_only(offset)) for bone, offset in self.landmark_map))
+        object.__setattr__(self, "landmark_map", tuple(self.landmark_map))
         seen_dofs = set()
         for i, bone in enumerate(self.bones):
             if not (-1 <= bone.parent < i):
                 raise ConfigurationError(
                     f"bone {i} ({bone.name}): parent {bone.parent} must precede it (tree order)")
-            if not _is_point(bone.offset):
+            if not (bone.offset.shape == (3,) and np.all(np.isfinite(bone.offset))):
                 raise ConfigurationError(f"bone {i} ({bone.name}): offset must be a finite "
                                          f"3-vector")
             if not (bone.axis.shape == (3,) and abs(np.linalg.norm(bone.axis) - 1.0) <= 1e-9):
@@ -252,20 +244,18 @@ class HandSkeleton:
         if sum(b.parent == -1 for b in self.bones) != 1:
             raise ConfigurationError("bone graph must be a tree with a single wrist root")
         if len(self.landmark_map) != N_LANDMARKS or not all(
-                0 <= bone < len(self.bones) and _is_point(offset)
-                for bone, offset in self.landmark_map):
-            raise ConfigurationError(f"landmark_map must attach {N_LANDMARKS} landmarks to "
-                                     f"bones at finite 3-vector offsets")
-        if len(self.fingertip_indices) != 5 or not all(
-                0 <= i < N_LANDMARKS for i in self.fingertip_indices):
-            raise ConfigurationError("fingertip_indices must list 5 landmarks")
+                0 <= bone < len(self.bones) for bone in self.landmark_map):
+            raise ConfigurationError(f"landmark_map must name the bones of {N_LANDMARKS} "
+                                     f"landmarks")
 
     @cached_property
     def landmark_dof_mask(self) -> np.ndarray:
-        """(20, 22) boolean: landmark i moves when DoF j changes."""
+        """(20, 22) boolean: landmark i moves when DoF j changes, that is when
+        j drives a strict ancestor of the bone whose origin landmark i is."""
         mask = np.zeros((N_LANDMARKS, N_DOF), dtype=bool)
-        for li, (j, _offset) in enumerate(self.landmark_map):
-            while j >= 0:       # the landmark's bone and its ancestors
+        for li, bone in enumerate(self.landmark_map):
+            j = self.bones[bone].parent
+            while j >= 0:
                 if self.bones[j].dof is not None:
                     mask[li, self.bones[j].dof] = True
                 j = self.bones[j].parent
@@ -274,17 +264,16 @@ class HandSkeleton:
 
     @cached_property
     def wrist_rigid_rest(self):
-        """Landmarks that move with the wrist but with no finger DoF, and their
-        positions (K, 3) in the mid-range pose with both wrist angles at 0.
+        """The landmarks that no finger DoF moves (`landmark_dof_mask` rows
+        with no DoF below WRIST_FE), and their positions (K, 3) in the
+        mid-range pose with both wrist angles at 0.
 
-        Rigidity is read from the Jacobian at the mid-range pose. IK aligns
-        these rest positions to its targets to estimate the wrist angles.
+        IK aligns these rest positions to its targets to estimate the wrist
+        angles.
         """
-        mid = self.limits.mean(axis=1)
-        _, jac = landmark_jacobians(self, mid[None])
-        rigid = np.flatnonzero(np.abs(jac[0, :, :, :WRIST_FE]).max(axis=(1, 2)) < 1e-12)
+        rigid = np.flatnonzero(~self.landmark_dof_mask[:, :WRIST_FE].any(axis=1))
         rigid.flags.writeable = False
-        rest_angles = mid.copy()
+        rest_angles = self.limits.mean(axis=1)
         rest_angles[WRIST_FE] = 0.0
         rest_angles[WRIST_RU] = 0.0
         rest = landmark_positions(self, rest_angles[None])[0, rigid]
@@ -319,8 +308,7 @@ class HandSkeleton:
             dof_slots=dof_slots,
             dof_parent_slots=np.array(parents)[dof_slots],
             dof_axes=np.array([ordered[i].axis for i in dof_slots])[:, :, None],
-            landmark_slots=np.array([slot[bi] for bi, _ in self.landmark_map]),
-            landmark_offsets=np.array([off for _, off in self.landmark_map])[:, :, None],
+            landmark_slots=np.array([slot[bone] for bone in self.landmark_map]),
             jac_landmarks=jac_landmarks,
             jac_dofs=jac_dofs,
             jac_index=(jac_landmarks[:, None] * 3 + np.arange(3)) * N_DOF + jac_dofs[:, None],
@@ -350,9 +338,7 @@ def _fk_state(skeleton: HandSkeleton, values: np.ndarray):
         rotations[:, slots] = parent_r @ local[:, slots]
     # np.take keeps the landmarks C-ordered, frame by frame, where fancy
     # indexing would put the landmark axis outermost in memory
-    slots = tables.landmark_slots
-    points = (np.take(origins, slots, axis=1)
-              + (np.take(rotations, slots, axis=1) @ tables.landmark_offsets)[..., 0])
+    points = np.take(origins, tables.landmark_slots, axis=1)
     dof_axes = (rotations[:, tables.dof_parent_slots] @ tables.dof_axes)[..., 0]
     return points, dof_axes, origins[:, tables.dof_slots]
 
@@ -435,11 +421,8 @@ def save_skeleton(skeleton: HandSkeleton, path) -> None:
             for b in skeleton.bones
         ],
         "limits": [[float(lo), float(hi)] for lo, hi in skeleton.limits],
-        "landmark_map": [
-            {"bone": int(bi), "offset": [float(x) for x in off]}
-            for bi, off in skeleton.landmark_map
-        ],
-        "fingertip_indices": [int(i) for i in skeleton.fingertip_indices],
+        "landmark_map": [{"bone": int(bone), "offset": [0.0, 0.0, 0.0]}
+                         for bone in skeleton.landmark_map],
     }
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
@@ -454,7 +437,8 @@ def _integer(value) -> int:
 
 def load_skeleton(path) -> HandSkeleton:
     """Read a skeleton config file written by `save_skeleton`. A file that is
-    not valid YAML, or not a valid skeleton, raises ConfigurationError."""
+    not valid YAML, or not a valid skeleton (a landmark offset other than
+    [0, 0, 0] included), raises ConfigurationError."""
     with open(path, "rb") as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -469,14 +453,14 @@ def load_skeleton(path) -> HandSkeleton:
                  dof=None if b["dof"] is None else _integer(b["dof"]), name=str(b["name"]))
             for b in doc["bones"]
         )
-        landmark_map = tuple((_integer(e["bone"]), np.asarray(e["offset"], float))
-                             for e in doc["landmark_map"])
+        landmark_map = tuple(_integer(e["bone"]) for e in doc["landmark_map"])
+        landmark_offsets = np.asarray([e["offset"] for e in doc["landmark_map"]], float)
         limits = np.asarray(doc["limits"], float)
-        fingertip_indices = tuple(_integer(i) for i in doc["fingertip_indices"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: malformed skeleton: {exc!r}") from exc
-    return HandSkeleton(bones=bones, limits=limits, landmark_map=landmark_map,
-                        fingertip_indices=fingertip_indices)
+    if landmark_offsets.shape != (len(landmark_map), 3) or np.any(landmark_offsets):
+        raise ConfigurationError(f"{path}: every landmark offset must be [0, 0, 0]")
+    return HandSkeleton(bones=bones, limits=limits, landmark_map=landmark_map)
 
 
 @cache

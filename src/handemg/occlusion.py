@@ -126,7 +126,8 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 def transform_to_camera(mesh: TriangleMesh, camera: PinholeCamera) -> TriangleMesh:
     """Apply the rigid world->camera transform to every vertex."""
-    v_cam = mesh.vertices @ camera.rotation.T + camera.translation
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_cam = mesh.vertices @ camera.rotation.T + camera.translation
     return TriangleMesh(vertices=v_cam, triangles=mesh.triangles)
 
 
@@ -134,8 +135,9 @@ def _project(camera: PinholeCamera, vertices: np.ndarray):
     """Camera-frame points -> pixel coordinates (u, v); z unchanged."""
     k = camera.intrinsics
     z = vertices[:, 2]
-    u = k[0, 0] * vertices[:, 0] / z + k[0, 2]
-    v = k[1, 1] * vertices[:, 1] / z + k[1, 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = k[0, 0] * vertices[:, 0] / z + k[0, 2]
+        v = k[1, 1] * vertices[:, 1] / z + k[1, 2]
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise InvalidInputError("a vertex projects beyond the floating-point range")
     return u, v

@@ -195,7 +195,7 @@ def test_malformed_landmarks_block_is_bad_input(capsys, tmp_path, landmarks):
     assert not (tmp_path / "angles.egl").exists()
 
 
-@pytest.mark.parametrize("duration", ["inf", "-inf", "nan", "3.99"])
+@pytest.mark.parametrize("duration", ["inf", "-inf", "nan", "3.99", "600.01", "1e12"])
 def test_synth_rejects_a_duration_that_is_not_finite_and_at_least_4_s(
         capsys, tmp_path, duration):
     code, out, err = _run(capsys, "synth", f"--duration={duration}", "--out",
@@ -301,10 +301,15 @@ _CAMERA = {"fx": "500.0", "fy": "500.0", "cx": "256.0", "cy": "256.0",
     (_MESH, {"height": "true"}, "bad-camera: {camera}: resolution must"),
     (_MESH, {"width": "100000", "height": "100000"},
      "bad-camera: {camera}: resolution 100000x100000 exceeds"),
+    (_MESH + "v 1e150 0 0.001\n", {"fx": "1e300", "fy": "1e300"},
+     "bad-camera: {camera}: a vertex projects beyond the floating-point range"),
+    (_MESH + "v 1.7e308 0 800\n", {"translation": "[1.7e308, 0, 0]"},
+     "bad-camera: {camera}: vertices must be finite"),
 ], ids=["face-float-index", "vertex-not-a-number", "face-index-overflow",
         "face-index-out-of-range", "vertex-nan", "vertex-inf", "area-overflow", "fx-string", "fx-nan",
         "fx-null", "fx-bool", "rotation-bool", "translation-bool", "rotation-two-values",
-        "translation-inf", "width-string", "width-float", "height-bool", "too-many-pixels"])
+        "translation-inf", "width-string", "width-float", "height-bool", "too-many-pixels",
+        "projection-overflow", "translation-overflow"])
 def test_malformed_mesh_or_camera_exit_2(capsys, tmp_path, mesh, camera, detail):
     mesh_path, cam_path = tmp_path / "mesh.txt", tmp_path / "cam.yaml"
     mesh_path.write_text(mesh)

@@ -88,10 +88,7 @@ def _loop_fk(skeleton, values):
         if bone.dof is not None:
             dof_axes[:, bone.dof] = parent_r @ bone.axis
             dof_origins[:, bone.dof] = origins[:, i]
-    bones = [bi for bi, _ in skeleton.landmark_map]
-    offsets = np.array([off for _, off in skeleton.landmark_map])
-    points = origins[:, bones] + (rotations[:, bones] @ offsets[:, :, None])[..., 0]
-    return points, dof_axes, dof_origins
+    return origins[:, list(skeleton.landmark_map)], dof_axes, dof_origins
 
 
 def _loop_jacobian(skeleton, values):
@@ -131,8 +128,7 @@ def _reordered(skeleton, order):
                   for b in (skeleton.bones[i] for i in order))
     return hm.HandSkeleton(
         bones=bones, limits=skeleton.limits,
-        landmark_map=tuple((new_index[bi], off) for bi, off in skeleton.landmark_map),
-        fingertip_indices=skeleton.fingertip_indices)
+        landmark_map=tuple(new_index[bone] for bone in skeleton.landmark_map))
 
 
 def test_fk_is_independent_of_bone_order(tmp_path, skeleton):
@@ -243,14 +239,16 @@ def test_jacobian_matches_central_differences(skeleton):
 
 
 def test_jacobian_is_zero_outside_the_landmark_dof_mask(skeleton):
+    """The mask is exact: every pair outside it is zero in every pose, and
+    every pair in it is nonzero in some pose."""
     mask = skeleton.landmark_dof_mask
-    assert mask.sum() == 100
+    assert mask.sum() == 85
     rng = np.random.default_rng(8)
     poses = rng.uniform(skeleton.limits[:, 0], skeleton.limits[:, 1], size=(300, 22))
     _, jac = hm.landmark_jacobians(skeleton, poses)
     by_pair = np.swapaxes(jac, 2, 3)            # (N, 20, 22, 3)
     assert not np.any(by_pair[:, ~mask])
-    assert np.any(by_pair[:, mask])
+    assert np.all(np.any(by_pair[:, mask], axis=(0, 2)))
     points, jac = hm.landmark_jacobians(skeleton, np.zeros((0, 22)))
     assert points.shape == (0, 20, 3) and jac.shape == (0, 20, 3, 22)
 
@@ -297,11 +295,11 @@ _SKELETON_TEXT = (Path(hm.__file__).parent / "assets" / "default_hand.skel").rea
     (b"  - 1.0\n  dof: 21", b"  - .nan\n  dof: 21"),
     (b"- bone: 2\n", b"- bone: 99\n"),
     (b"- - -5.0\n  - 90.0\n", b"- - -5.0\n  - .inf\n"),
-    (b"fingertip_indices:\n- 3", b"fingertip_indices:\n- 30"),
+    (b"- bone: 2\n  offset:\n  - 0.0", b"- bone: 2\n  offset:\n  - 1.0"),
 ], ids=["yaml-unclosed-list", "not-a-mapping", "not-utf8", "no-landmark_map",
         "bone-without-dof", "bones-an-int", "parent-a-string", "parent-inf", "dof-a-float",
         "axis-2-vector", "axis-nan", "landmark-bone-out-of-range", "limit-inf",
-        "fingertip-out-of-range"])
+        "landmark-offset-1mm"])
 def test_malformed_skeleton_file_is_a_configuration_error(tmp_path, old, new):
     assert old in _SKELETON_TEXT
     path = tmp_path / "hand.skel"
@@ -331,15 +329,15 @@ def test_default_skeleton_is_one_read_only_instance():
     skeleton = hm.default_skeleton()
     assert hm.default_skeleton() is skeleton
     for arr in (skeleton.limits, skeleton.bones[1].offset, skeleton.bones[1].axis,
-                skeleton.landmark_map[0][1], skeleton.landmark_dof_mask,
-                *skeleton.wrist_rigid_rest):
+                skeleton.landmark_dof_mask, *skeleton.wrist_rigid_rest):
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
 def test_wrist_rigid_rest_matches_per_call_definition(skeleton):
-    """The cached landmarks equal the Jacobian test and rest-pose FK that IK
-    used to run on every frame, and are computed once per skeleton."""
+    """The landmarks read from the mask are the base knuckles, and equal a
+    numeric Jacobian test at the mid-range pose; their rest positions equal
+    rest-pose FK, and both are computed once per skeleton."""
     mid = skeleton.limits.mean(axis=1)
     jac = hm.landmark_jacobians(skeleton, mid[None])[1][0]
     rigid = [i for i in range(hm.N_LANDMARKS)
@@ -348,7 +346,7 @@ def test_wrist_rigid_rest_matches_per_call_definition(skeleton):
     rest_angles[[hm.WRIST_FE, hm.WRIST_RU]] = 0.0
     rest = hm.forward_kinematics(skeleton, hm.JointAngles22(rest_angles)).points[rigid]
     cached_rigid, cached_rest = skeleton.wrist_rigid_rest
-    assert len(rigid) >= 3 and cached_rigid.tolist() == rigid
+    assert cached_rigid.tolist() == rigid == [0, 4, 8, 12, 16]
     assert np.array_equal(cached_rest, rest)
     assert skeleton.wrist_rigid_rest[1] is cached_rest
 

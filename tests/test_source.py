@@ -25,3 +25,32 @@ def test_package_imports_only_at_module_level():
              for node in ast.walk(func)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def _package_imports(path: Path) -> set:
+    """The package modules that `path` imports through `from .` statements."""
+    modules = {p.stem for p in SOURCE.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:       # `from . import name`: a module, or a name of __init__
+                found |= {a.name if a.name in modules else "__init__" for a in node.names}
+    return found
+
+
+def test_package_imports_are_one_way():
+    """The package's import graph has no cycle, and only `cli` imports the
+    pipeline-stage modules that sit on top of the library."""
+    graph = {path.stem: _package_imports(path) for path in sorted(SOURCE.glob("*.py"))}
+    assert "hand_model" in graph["ik"] and "ik" in graph["cli"]
+    order = []
+    while len(order) < len(graph):
+        ready = sorted(m for m, deps in graph.items()
+                       if m not in order and deps <= set(order))
+        assert ready, f"import cycle among {sorted(set(graph) - set(order))}"
+        order += ready
+    importers = {m: sorted(src for src, deps in graph.items() if m in deps) for m in graph}
+    for stage in ("cli", "augment", "evalkit", "ik", "wrist_geometry"):
+        assert importers[stage] in ([], ["cli"]), (stage, importers[stage])
