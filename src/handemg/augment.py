@@ -7,6 +7,9 @@ toggling one perturbation never shifts another's draws, no two (seed, frame)
 pairs share draws, and results are reproducible regardless of call order or
 threading.
 
+EMG frequency masking zeroes bands of the spectrum of an n-sample window padded
+to the 5-smooth `emg_dsp.fast_fft_length(n)`, and keeps n samples of the inverse.
+
 Marker perturbations follow a fixed structural -> identity -> noise order:
 bone-length scaling, global scaling, marker swap, marker dropout,
 neighborhood blending, Gaussian noise (+ per-marker dropout), marker drift,
@@ -23,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .emg_dsp import EmgWindow
+from .emg_dsp import EmgWindow, fast_fft_length
 from .errors import InvalidInputError
 from .graph_features import N_MARKERS, SkeletonGraph
 
@@ -130,30 +133,36 @@ class MarkerSet:
 
 def augment_emg(window: EmgWindow, seed: int,
                 config: EmgAugConfig = EmgAugConfig()) -> EmgWindow:
-    """Channel dropout -> frequency masking -> additive noise -> jitter."""
+    """Channel dropout -> frequency masking -> additive noise -> jitter.
+    Masks are drawn over the m // 2 + 1 bins of `rfft(x, n=m)`, m being
+    `fast_fft_length(n)`, and `irfft(n=m)[:n]` is kept (m = n if n is 5-smooth)."""
     x = window.samples.copy()
     n = x.shape[0]
+    if n < 1:
+        raise InvalidInputError("EMG window has no samples")
 
     dropped = _op_rng(seed, _EMG_DROPOUT).random(x.shape[1]) < config.channel_dropout_p
     x[:, dropped] = 0.0
 
     if config.n_freq_masks > 0 and config.max_mask_bins > 0:
         rng = _op_rng(seed, _EMG_FREQ_MASK)
-        spectrum = np.fft.rfft(x, axis=0)
-        n_bins = spectrum.shape[0]
+        m = fast_fft_length(n)
+        # transform contiguous channel rows; x returns to C order, the order the noise RMS sums
+        spectrum = np.fft.rfft(np.ascontiguousarray(x.T), n=m)
+        n_bins = spectrum.shape[1]
         for _ in range(config.n_freq_masks):
-            width = int(rng.integers(1, config.max_mask_bins + 1))
-            width = min(width, n_bins)
+            width = min(int(rng.integers(1, config.max_mask_bins + 1)), n_bins)
             start = int(rng.integers(0, n_bins - width + 1))
-            spectrum[start:start + width] = 0.0
-        x = np.fft.irfft(spectrum, n=n, axis=0)
+            spectrum[:, start:start + width] = 0.0
+        x = np.ascontiguousarray(np.fft.irfft(spectrum, n=m)[:, :n].T)
 
     rng = _op_rng(seed, _EMG_NOISE)
     if rng.random() < config.noise_p:
         snr_db = rng.uniform(*config.noise_snr_db)
         rms = np.sqrt(np.mean(x ** 2, axis=0))
         sigma = rms * 10.0 ** (-snr_db / 20.0)
-        x = x + rng.standard_normal(x.shape) * sigma[None, :]
+        noise = rng.standard_normal(x.shape)
+        x = np.add(x, np.multiply(noise, sigma, out=noise), out=noise)
 
     if config.jitter_ms > 0:
         max_shift = int(round(config.jitter_ms * 1e-3 * window.sample_rate))

@@ -113,7 +113,10 @@ def _cmd_synth(args):
 
 def _cmd_filter(args):
     episode = datastore.read_episode(args.input)
-    filtered = emg_dsp.filter_emg(episode.emg)
+    try:
+        filtered = emg_dsp.filter_emg(episode.emg)
+    except InvalidInputError as exc:
+        raise DataFormatError("bad-input", f"{args.input}: {exc}") from None
     datastore.write_episode(dataclasses.replace(episode, emg=filtered), args.out)
     print(f"wrote {args.out}")
     if args.response:
@@ -129,7 +132,10 @@ def _cmd_filter(args):
 def _cmd_augment_emg(args):
     episode = datastore.read_episode(args.input)
     config = _dataclass_from_config(augment.EmgAugConfig, _load_config(args.config))
-    out = augment.augment_emg(episode.emg, args.seed, config)
+    try:
+        out = augment.augment_emg(episode.emg, args.seed, config)
+    except InvalidInputError as exc:
+        raise DataFormatError("bad-input", f"{args.input}: {exc}") from None
     datastore.write_episode(dataclasses.replace(episode, emg=out), args.out)
     print(f"wrote {args.out}")
 

@@ -138,6 +138,16 @@ def filter_fft_length(n_samples: int) -> int:
     return 1 << (max(n_samples, _FILTER_PAD_MIN) - 1).bit_length()
 
 
+def fast_fft_length(n: int) -> int:
+    """The least 2**a * 3**b * 5**c >= n, a length at which numpy's FFT runs
+    radix passes instead of Bluestein's algorithm."""
+    if n < 1:
+        raise InvalidInputError(f"an FFT needs at least one point, got {n}")
+    k = n.bit_length()      # 3**b * 5**c with b + c >= k exceeds 2**k, the power-of-two bound
+    return min(p << (-(-n // p) - 1).bit_length()
+               for p in (3**b * 5**c for b in range(k) for c in range(k - b)))
+
+
 def filter_emg(window: EmgWindow) -> EmgWindow:
     """Apply the FFT mask per channel; mean is removed first.
 
@@ -147,8 +157,8 @@ def filter_emg(window: EmgWindow) -> EmgWindow:
     """
     if window.kind != "raw":
         raise InvalidInputError("filter_emg expects a raw window")
-    if not np.all(np.isfinite(window.samples)):
-        raise InvalidInputError("EMG samples must be finite")
+    if not (window.n_samples and np.all(np.isfinite(window.samples))):
+        raise InvalidInputError("EMG window needs at least one sample, all finite")
     n = window.n_samples
     n_fft = filter_fft_length(n)
     mask = build_filter_mask(n_fft, window.sample_rate)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handemg import augment
-from handemg.emg_dsp import EmgWindow, N_CHANNELS
+from handemg.emg_dsp import EmgWindow, N_CHANNELS, fast_fft_length
 from handemg.graph_features import default_marker_graph
 from handemg.errors import InvalidInputError
 
@@ -204,3 +204,87 @@ def test_config_rejects_mistyped_values(cls, field, value):
     """Non-numbers and non-integer counts are invalid input, not a TypeError."""
     with pytest.raises(InvalidInputError, match=field):
         cls(**{field: value})
+
+
+_MASK_ONLY = augment.EmgAugConfig(channel_dropout_p=0.0, noise_p=0.0, jitter_ms=0.0)
+
+
+@pytest.mark.parametrize("n", [7919, 8546])
+def test_emg_masking_keeps_the_sample_count_at_lengths_that_are_not_5_smooth(n):
+    """7919 is prime and 8546 = 2 * 4273: both are masked at a padded length."""
+    win = _window(np.random.default_rng(n), n)
+    for config in (_MASK_ONLY, augment.EmgAugConfig()):
+        a = augment.augment_emg(win, seed=3, config=config)
+        b = augment.augment_emg(win, seed=3, config=config)
+        assert a.samples.shape == (n, N_CHANNELS)
+        assert np.array_equal(a.samples, b.samples)
+
+
+def _exact_length_augment_emg(window, seed, config):
+    """`augment_emg` as it was when both transforms ran at the window's own
+    length, down the columns of its (n, 16) array."""
+    x = window.samples.copy()
+    n = x.shape[0]
+    dropped = augment._op_rng(seed, augment._EMG_DROPOUT).random(x.shape[1])
+    x[:, dropped < config.channel_dropout_p] = 0.0
+    rng = augment._op_rng(seed, augment._EMG_FREQ_MASK)
+    spectrum = np.fft.rfft(x, axis=0)
+    n_bins = spectrum.shape[0]
+    for _ in range(config.n_freq_masks):
+        width = min(int(rng.integers(1, config.max_mask_bins + 1)), n_bins)
+        start = int(rng.integers(0, n_bins - width + 1))
+        spectrum[start:start + width] = 0.0
+    x = np.fft.irfft(spectrum, n=n, axis=0)
+    rng = augment._op_rng(seed, augment._EMG_NOISE)
+    if rng.random() < config.noise_p:
+        snr_db = rng.uniform(*config.noise_snr_db)
+        sigma = np.sqrt(np.mean(x ** 2, axis=0)) * 10.0 ** (-snr_db / 20.0)
+        x = x + rng.standard_normal(x.shape) * sigma[None, :]
+    max_shift = int(round(config.jitter_ms * 1e-3 * window.sample_rate))
+    shift = int(augment._op_rng(seed, augment._EMG_JITTER).integers(-max_shift, max_shift + 1))
+    if shift > 0:
+        x = np.concatenate([np.repeat(x[:1], shift, axis=0), x[:n - shift]])
+    elif shift < 0:
+        x = np.concatenate([x[-shift:], np.repeat(x[-1:], -shift, axis=0)])
+    return x
+
+
+def test_emg_augment_at_a_5_smooth_length_is_the_exact_length_augment():
+    """At n = 8640 = 2**6 * 3**3 * 5 the padded length is n itself, and every
+    op's output is bit for bit what it was when the transforms ran down the
+    columns: the noise's per-channel RMS sums the same rows in the same order."""
+    win = _window(np.random.default_rng(8640), 8640)
+    for config in (_MASK_ONLY, augment.EmgAugConfig(),
+                   augment.EmgAugConfig(channel_dropout_p=0.5, noise_p=1.0)):
+        for seed in range(4):
+            out = augment.augment_emg(win, seed=seed, config=config)
+            assert np.array_equal(out.samples, _exact_length_augment_emg(win, seed, config))
+
+
+@pytest.mark.parametrize("n", [7919, 8546])
+def test_emg_mask_removes_its_band(n):
+    """One mask, drawn over the bins of the padded spectrum, leaves at most 1%
+    of the input's energy in its frequency band of the output."""
+    win = _window(np.random.default_rng(n), n)
+    config = augment.EmgAugConfig(channel_dropout_p=0.0, n_freq_masks=1, max_mask_bins=1000,
+                                  noise_p=0.0, jitter_ms=0.0)
+    out = augment.augment_emg(win, seed=0, config=config)
+    m = fast_fft_length(n)
+    rng = augment._op_rng(0, augment._EMG_FREQ_MASK)
+    width = int(rng.integers(1, config.max_mask_bins + 1))
+    start = int(rng.integers(0, m // 2 + 1 - width + 1))
+    cycles = np.arange(n // 2 + 1) / n      # the output's bins, in cycles per sample
+    band = (cycles >= start / m) & (cycles <= (start + width - 1) / m)
+    assert band.sum() >= 100
+
+    def energy(x):
+        return np.sum(np.abs(np.fft.rfft(x, axis=0)[band]) ** 2)
+    assert energy(out.samples) <= 0.01 * energy(win.samples)
+
+
+def test_emg_without_samples_is_invalid_input():
+    empty = EmgWindow(samples=np.zeros((0, N_CHANNELS)))
+    for config in (augment.EmgAugConfig(), _MASK_ONLY, augment.EmgAugConfig(
+            n_freq_masks=0, max_mask_bins=0)):
+        with pytest.raises(InvalidInputError, match="no samples"):
+            augment.augment_emg(empty, seed=0, config=config)

@@ -99,6 +99,24 @@ def test_augment_emg_seeded(capsys, tmp_path):
     assert np.array_equal(outs[0], outs[1])
 
 
+@pytest.mark.parametrize("command", ["filter", "augment-emg"])
+def test_episode_without_emg_samples_is_bad_input(capsys, tmp_path, command):
+    """A (0, 16) EMG block fails with one typed line, not numpy warnings or a
+    raw FFT error, and writes nothing."""
+    ep, out = tmp_path / "ep.egl", tmp_path / "out.egl"
+    episode = ds.synth_episode(seed=0, duration_s=4.0)
+    ds.write_episode(dataclasses.replace(
+        episode, emg=emg_dsp.EmgWindow(samples=np.zeros((0, emg_dsp.N_CHANNELS))),
+        emg_timestamps_ms=np.zeros(0)), ep)
+    assert ds.read_episode(ep).emg.n_samples == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out_text, err = _run(capsys, command, str(ep), "--out", str(out))
+    assert code == 2 and out_text == ""
+    assert err.splitlines()[-1].startswith(f"error: bad-input: {ep}: ")
+    assert not out.exists()
+
+
 def test_fk_ik_roundtrip(capsys, tmp_path):
     skeleton = default_skeleton()
     lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]

@@ -181,3 +181,25 @@ def test_window_validation():
     bad[3, 2] = np.inf
     with pytest.raises(InvalidInputError):
         emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=bad))
+    with pytest.raises(InvalidInputError, match="at least one"):
+        emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=np.zeros((0, 16))))
+
+
+def _five_smooth(candidates):
+    """The 2**a * 3**b * 5**c among `candidates`, by dividing each one out."""
+    rest = candidates.copy()
+    for q in (2, 3, 5):
+        while np.any(divisible := rest % q == 0):
+            rest[divisible] //= q
+    return candidates[rest == 1]
+
+
+def test_fast_fft_length_is_the_least_5_smooth_length_at_or_above_n():
+    ns = np.r_[1:20_001, 1_199_900:1_200_101]
+    smooth = _five_smooth(np.r_[1:20_251, 1_199_900:1_215_001])   # 20250 = 2 * 3**4 * 5**3
+    expect = smooth[np.searchsorted(smooth, ns)]
+    assert [emg_dsp.fast_fft_length(int(n)) for n in ns] == expect.tolist()
+    assert emg_dsp.fast_fft_length(1_200_001) == 1_215_000
+    for n in (0, -1):
+        with pytest.raises(InvalidInputError):
+            emg_dsp.fast_fft_length(n)

@@ -54,3 +54,33 @@ def test_package_imports_are_one_way():
     importers = {m: sorted(src for src, deps in graph.items() if m in deps) for m in graph}
     for stage in ("cli", "augment", "evalkit", "ik", "wrist_geometry"):
         assert importers[stage] in ([], ["cli"]), (stage, importers[stage])
+
+
+def _fft_calls(tree):
+    """The `np.fft.<transform>(...)` calls in `tree`; the frequency and shift
+    helpers are not transforms."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "fft"
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id in ("np", "numpy")
+                and not func.attr.endswith(("freq", "shift"))):
+            yield node
+
+
+def test_fft_transforms_state_their_length():
+    """Every `np.fft` transform in the package passes its length as `n=`, so
+    none runs at a raw input length, where a large prime factor makes numpy
+    fall back to a Bluestein transform several times slower."""
+    trees = {path.relative_to(SOURCE): ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.rglob("*.py"))}
+    calls = [(f"{name}:{node.lineno}", {kw.arg for kw in node.keywords})
+             for name, tree in trees.items() for node in _fft_calls(tree)]
+    assert len(calls) >= 4     # the filter's and the augmentation's transform pairs
+    assert [where for where, keywords in calls if "n" not in keywords] == []
+    # the transforms are reached only as `np.fft.<name>`, which the walk above sees
+    assert [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and {getattr(node, "module", None), *(a.name for a in node.names)}
+            & {"numpy.fft", "fft"}] == []
