@@ -163,6 +163,7 @@ def filter_emg(window: EmgWindow) -> EmgWindow:
     n_fft = filter_fft_length(n)
     mask = build_filter_mask(n_fft, window.sample_rate)
     x = window.samples - window.samples.mean(axis=0, keepdims=True)
-    spectrum = np.fft.rfft(x, n=n_fft, axis=0) * mask.gains[:, None]
-    y = np.fft.irfft(spectrum, n=n_fft, axis=0)[:n]
+    # contiguous channel rows, which pocketfft transforms faster than strided columns
+    spectrum = np.fft.rfft(np.ascontiguousarray(x.T), n=n_fft) * mask.gains
+    y = np.ascontiguousarray(np.fft.irfft(spectrum, n=n_fft)[:, :n].T)
     return replace(window, samples=y, kind="filtered")

@@ -90,6 +90,20 @@ def test_filter_bit_identical_across_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n", [8546, 16012])
+def test_filter_on_channel_rows_is_the_axis_0_transform(n):
+    """Transforming contiguous channel rows gives the bytes of the transform
+    pair along axis 0 of the (time, 16) array, in C order."""
+    samples = np.random.default_rng(n).normal(size=(n, emg_dsp.N_CHANNELS))
+    n_fft = emg_dsp.filter_fft_length(n)
+    x = samples - samples.mean(axis=0, keepdims=True)
+    spectrum = np.fft.rfft(x, n=n_fft, axis=0) * emg_dsp.build_filter_mask(n_fft).gains[:, None]
+    expected = np.fft.irfft(spectrum, n=n_fft, axis=0)[:n]
+    out = emg_dsp.filter_emg(emg_dsp.EmgWindow(samples=samples)).samples
+    assert out.flags.c_contiguous
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_mask_band_structure():
     freqs = np.array([10.0, 17.0, 23.0, 40.0, 400.0, 847.0, 900.0, 1000.0])
     g = emg_dsp.mask_gain(freqs)

@@ -9,16 +9,25 @@ import pytest
 from conftest import random_pose
 from handemg import ik
 from handemg.errors import InvalidInputError
-from handemg.hand_model import (JointAngles22, LandmarkSet, forward_kinematics,
-                                landmark_positions, N_DOF, WRIST_FE, WRIST_RU)
+from handemg.hand_model import (JointAngles22, forward_kinematics, landmark_positions,
+                                N_DOF, WRIST_FE, WRIST_RU)
 
 
-def _rosenbrock(z):
-    x, y = z
-    loss = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
-    grad = np.array([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
-                     200.0 * (y - x * x)])
-    return loss, grad
+def _least_squares(residual, jacobian):
+    """The `ik._lm_solve` problem of residual(z) (k, m) with Jacobian (k, m, d),
+    handing back z."""
+    def problem(z, rows):
+        r, jac = residual(z), jacobian(z)
+        jac_t = jac.transpose(0, 2, 1)
+        return np.vecdot(r, r), jac_t @ jac, jac_t @ r[..., None], z.copy()
+    return problem
+
+
+# r = (1 - x, 10 (y - x^2)), zero at (1, 1)
+_rosenbrock = _least_squares(
+    lambda z: np.stack([1.0 - z[:, 0], 10.0 * (z[:, 1] - z[:, 0] ** 2)], axis=1),
+    lambda z: np.stack([np.stack([-np.ones(len(z)), np.zeros(len(z))], axis=1),
+                        np.stack([-20.0 * z[:, 0], np.full(len(z), 10.0)], axis=1)], axis=1))
 
 
 def test_sigmoid_reparam_bijection():
@@ -33,8 +42,7 @@ def test_sigmoid_reparam_bijection():
 
 def test_loss_gradient_matches_central_differences(skeleton):
     rng = np.random.default_rng(1)
-    targets = LandmarkSet(forward_kinematics(
-        skeleton, JointAngles22(random_pose(rng, skeleton))).points)
+    targets = landmark_positions(skeleton, random_pose(rng, skeleton)[None])[0]
     z = rng.normal(scale=1.5, size=N_DOF)
     loss, grad = ik.ik_loss_and_gradient(z, targets, skeleton)
     h = 1e-6
@@ -47,53 +55,49 @@ def test_loss_gradient_matches_central_differences(skeleton):
         assert abs(grad[j] - num) / max(abs(num), 1.0) < 1e-5
 
 
-def test_lbfgs_rosenbrock():
-    z, trace = ik.lbfgs_minimize(_rosenbrock, np.array([-1.2, 1.0]))
-    assert np.abs(z - 1.0).max() < 1e-6
-    losses = np.array(trace.accepted_losses)
-    assert np.all(np.diff(losses) <= 0)  # accepted losses never increase
+def test_lm_quadratic_fast():
+    """A linear residual sqrt(diag(1, 10, 100)) z converges in a few steps."""
+    root = np.sqrt(np.diag([1.0, 10.0, 100.0]))
+    quad = _least_squares(lambda z: z @ root, lambda z: np.broadcast_to(root, (len(z), 3, 3)))
+    _, converged, steps, z = ik._lm_solve(quad, np.ones((1, 3)))
+    assert converged[0] and np.abs(z).max() < 1e-7
+    assert steps[0] < 40
 
 
-def test_lbfgs_quadratic_fast():
-    a = np.diag([1.0, 10.0, 100.0])
-
-    def quad(z):
-        return 0.5 * z @ a @ z, a @ z
-
-    z, trace = ik.lbfgs_minimize(quad, np.array([1.0, 1.0, 1.0]))
-    assert np.abs(z).max() < 1e-7
-    assert len(trace.accepted_losses) < 40
+def test_lm_batch_rows_solve_as_if_alone():
+    """Rosenbrock from 4 seeded starts and from its minimum in one call: each
+    row gives the bytes of its own one-row solve, and the row that starts at
+    the minimum is converged after 0 steps."""
+    starts = np.vstack([np.random.default_rng(16).uniform(-2.0, 2.0, size=(4, 2)), [1.0, 1.0]])
+    batch = ik._lm_solve(_rosenbrock, starts)
+    for row, start in enumerate(starts):
+        alone = ik._lm_solve(_rosenbrock, start[None])
+        assert [value[row].tobytes() for value in batch] == [value[0].tobytes()
+                                                            for value in alone]
+    _, converged, steps, z = batch
+    assert converged[4] and steps[4] == 0 and np.array_equal(z[4], [1.0, 1.0])
+    assert np.all(steps[:4] > 0)
 
 
 def test_roundtrip_small_batch(skeleton):
     rng = np.random.default_rng(2)
     for _ in range(10):
         truth = random_pose(rng, skeleton)
-        targets = LandmarkSet(forward_kinematics(skeleton,
-                                                 JointAngles22(truth)).points)
-        result = ik.fit_joint_angles(targets, skeleton)
-        rms = np.sqrt(result.residual_mse)
+        result = ik.fit_batch(landmark_positions(skeleton, truth[None]), skeleton)
+        rms = np.sqrt(result.residual_mse[0])
         assert rms < 0.5  # mm
         lo, hi = skeleton.limits[:, 0], skeleton.limits[:, 1]
-        assert np.all(result.angles.values > lo)
-        assert np.all(result.angles.values < hi)
+        assert np.all(result.angles[0] > lo)
+        assert np.all(result.angles[0] < hi)
 
 
 def test_fit_is_deterministic(skeleton):
     rng = np.random.default_rng(3)
-    targets = LandmarkSet(forward_kinematics(
-        skeleton, JointAngles22(random_pose(rng, skeleton))).points)
-    a = ik.fit_joint_angles(targets, skeleton)
-    b = ik.fit_joint_angles(targets, skeleton)
-    assert np.array_equal(a.angles.values, b.angles.values)
-    assert a.residual_mse == b.residual_mse
-
-
-def test_lbfgs_takes_no_config():
-    """The L-BFGS settings are module constants: no config object is taken."""
-    assert not hasattr(ik, "IkConfig")
-    with pytest.raises(TypeError):
-        ik.lbfgs_minimize(_rosenbrock, np.array([-1.2, 1.0]), object())
+    targets = landmark_positions(skeleton, random_pose(rng, skeleton)[None])
+    a = ik.fit_batch(targets, skeleton)
+    b = ik.fit_batch(targets, skeleton)
+    assert np.array_equal(a.angles, b.angles)
+    assert np.array_equal(a.residual_mse, b.residual_mse)
 
 
 def _cut_sequence(skeleton, n_frames=24, cut=13):
@@ -146,11 +150,10 @@ def test_fit_is_exact_on_clean_targets(skeleton):
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(20):
-        targets = LandmarkSet(forward_kinematics(
-            skeleton, JointAngles22(random_pose(rng, skeleton))).points)
-        result = ik.fit_joint_angles(targets, skeleton)
-        worst = max(worst, np.sqrt(result.residual_mse))
-        assert result.converged
+        targets = landmark_positions(skeleton, random_pose(rng, skeleton)[None])
+        result = ik.fit_batch(targets, skeleton)
+        worst = max(worst, np.sqrt(result.residual_mse[0]))
+        assert result.converged[0]
     fit = ik.fit_batch(_cut_sequence(skeleton), skeleton)
     worst = max(worst, np.sqrt(fit.residual_mse).max())
     assert worst < 1e-6  # mm
@@ -170,13 +173,12 @@ def test_per_landmark_error_is_the_fk_distance(skeleton):
 
 def test_fit_takes_no_config(skeleton):
     """Neither a config object nor a handedness label: the fit uses `skeleton`
-    as it is."""
-    targets = LandmarkSet(_cut_sequence(skeleton)[0])
+    as it is, and its settings are module constants."""
+    assert not hasattr(ik, "IkConfig")
+    targets = _cut_sequence(skeleton)[:1]
     for option in ({"config": None}, {"handedness": "left"}):
         with pytest.raises(TypeError):
-            ik.fit_joint_angles(targets, skeleton, **option)
-        with pytest.raises(TypeError):
-            ik.fit_batch(targets.points[None], skeleton, **option)
+            ik.fit_batch(targets, skeleton, **option)
 
 
 @pytest.mark.parametrize("shape, bad", [
@@ -226,8 +228,8 @@ def test_frame_accepted_in_first_round_joins_no_later_round(skeleton, monkeypatc
     # frames 1 and 4 three times as far from the wrist: no pose reaches them
     targets[[1, 4]] *= 3.0
     rounds = []
-    solve = ik._lm_solve
-    monkeypatch.setattr(ik, "_lm_solve",
+    solve = ik._lm_fit
+    monkeypatch.setattr(ik, "_lm_fit",
                         lambda z0, tgt, *args: rounds.append(tgt.copy()) or solve(z0, tgt, *args))
     fit = ik.fit_batch(targets, skeleton)
     assert len(rounds) == 2
@@ -241,17 +243,16 @@ def test_unreachable_targets_try_every_start_in_order(skeleton, monkeypatch):
     """The wrist-aligned start, then the finger-sweep start."""
     rng = np.random.default_rng(13)
     # every landmark three times as far from the wrist: no pose reaches them
-    targets = LandmarkSet(3.0 * forward_kinematics(
-        skeleton, JointAngles22(random_pose(rng, skeleton))).points)
+    targets = 3.0 * landmark_positions(skeleton, random_pose(rng, skeleton)[None])
     starts = []
-    solve = ik._lm_solve
-    monkeypatch.setattr(ik, "_lm_solve",
+    solve = ik._lm_fit
+    monkeypatch.setattr(ik, "_lm_fit",
                         lambda z0, *args: starts.append(z0[0]) or solve(z0, *args))
-    result = ik.fit_joint_angles(targets, skeleton)
-    assert result.residual_mse > 1.0
-    assert result.starts_used == len(starts) == 2
-    expected = [ik._wrist_aligned_start(targets.points[None], skeleton)[0],
-                ik._finger_sweep_start(targets.points[None], skeleton)[0]]
+    result = ik.fit_batch(targets, skeleton)
+    assert result.residual_mse[0] > 1.0
+    assert result.starts_used[0] == len(starts) == 2
+    expected = [ik._wrist_aligned_start(targets, skeleton)[0],
+                ik._finger_sweep_start(targets, skeleton)[0]]
     for got, want in zip(starts, expected):
         assert np.array_equal(got, want)
 

@@ -84,3 +84,30 @@ def test_fft_transforms_state_their_length():
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and {getattr(node, "module", None), *(a.name for a in node.names)}
             & {"numpy.fft", "fft"}] == []
+
+
+# imported and not used: benchmark/tests asserts that `cli` and `ik` bind the
+# same `forward_kinematics`
+_UNUSED_IMPORTS_KEPT = {"ik.py:forward_kinematics"}
+
+
+def _unused_imports(path: Path, tree) -> list:
+    """`path:name` of each module-level import of `tree` that no name in the
+    module reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {(a.asname or a.name): node.lineno for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path}:{name}" for name in bound if name not in read]
+
+
+def test_package_has_no_unused_imports():
+    """Every module-level import is read by its module, so the import list
+    says what the module depends on."""
+    found = [where for path in sorted(SOURCE.rglob("*.py"))
+             for where in _unused_imports(path.relative_to(SOURCE),
+                                          ast.parse(path.read_text(), filename=str(path)))]
+    assert sorted(found) == sorted(_UNUSED_IMPORTS_KEPT)
